@@ -8,22 +8,25 @@ reproducible for a given (seed, n, reps) no matter how work is scheduled.
 The per-replicate draw order matches the scalar samplers in urn.py and
 coalescent.py: first the n-1 urn-transition uniforms, then (if the
 statistic needs times) the n-1 waiting-time uniforms in descending k.
+
+Every statistic is one entry of STATISTICS: its keywords and their check,
+what each replicate draws, and the reduction of those draws to its value.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
+from typing import NamedTuple
 
 import numpy as np
 
 from .indexing import ceil_pow, check_window, floor_pow
 from .rng import replicate_stream
+from .urn import _float_thresholds
 
 CHUNK = 512
-
-_TIME_STATS = {"L", "L_window", "L_hat", "eta_count", "window_pair"}
-_URN_STATS = {"tau", "urn_marginal"} | _TIME_STATS
 
 
 def _uniform_rows(seed: int, stream_id: int, start: int, count: int, draws: int) -> np.ndarray:
@@ -33,54 +36,22 @@ def _uniform_rows(seed: int, stream_id: int, start: int, count: int, draws: int)
     return out
 
 
-def _urn_paths_numpy(n: int, w: np.ndarray) -> np.ndarray:
+def _urn_paths(n: int, w: np.ndarray) -> np.ndarray:
     """Step the chain for each row of uniforms w (count, n-1).
 
-    Returns int32 trajectories of shape (count, n+1).  Threshold
-    arithmetic mirrors urn._float_thresholds exactly; the jit kernel
-    below agrees bitwise.
+    Returns int32 trajectories of shape (count, n+1).  The state is int64 so
+    that u*(balls-u) cannot overflow; the thresholds are the scalar
+    sampler's, evaluated on the whole state vector.
     """
     count = w.shape[0]
     paths = np.zeros((count, n + 1), dtype=np.int32)
-    u = np.zeros(count, dtype=np.int32)
+    u = np.zeros(count, dtype=np.int64)
     for k in range(n - 1):
-        balls = n - k
-        denom = balls * (balls - 1) / 2.0
-        t_down = (u * (u - 1) / 2.0) / denom
-        t_stay = t_down + (u * (balls - u)) / denom
+        t_down, t_stay = _float_thresholds(n, k, u)
         wk = w[:, k]
         u = u - (wk < t_down) + (wk >= t_stay)
         paths[:, k + 1] = u
     return paths
-
-
-try:
-    from numba import njit
-
-    @njit(cache=True, nogil=True)
-    def _urn_paths_jit(n, w, paths):  # pragma: no cover - thin jit wrapper
-        count = w.shape[0]
-        for i in range(count):
-            u = 0
-            for k in range(n - 1):
-                balls = n - k
-                denom = balls * (balls - 1) / 2.0
-                t_down = (u * (u - 1) / 2.0) / denom
-                t_stay = t_down + (u * (balls - u)) / denom
-                wk = w[i, k]
-                if wk < t_down:
-                    u -= 1
-                elif wk >= t_stay:
-                    u += 1
-                paths[i, k + 1] = u
-
-    def _urn_paths(n: int, w: np.ndarray) -> np.ndarray:
-        paths = np.zeros((w.shape[0], n + 1), dtype=np.int32)
-        _urn_paths_jit(n, np.ascontiguousarray(w), paths)
-        return paths
-
-except ImportError:  # pragma: no cover
-    _urn_paths = _urn_paths_numpy
 
 
 def _times(n: int, w: np.ndarray) -> np.ndarray:
@@ -109,83 +80,109 @@ def _rho_inverse_cdf(n: int, w: np.ndarray) -> np.ndarray:
     return np.searchsorted(cdf, w, side="right") + 1
 
 
+class Draw(NamedTuple):
+    """What one replicate draws, and what a chunk of draws turns into."""
+
+    uniforms: Callable[[int], int]  # uniforms per replicate, given n
+    inputs: Callable[[int, np.ndarray], tuple]  # (n, w) -> reducer inputs
+
+
+RHO = Draw(lambda n: 1, lambda n, w: (_rho_inverse_cdf(n, w[:, 0]),))
+RHO_TIMES = Draw(lambda n: n, lambda n, w: (_rho_inverse_cdf(n, w[:, 0]), _times(n, w[:, 1:])))
+URN = Draw(lambda n: n - 1, lambda n, w: (_urn_paths(n, w),))
+URN_TIMES = Draw(lambda n: 2 * (n - 1),
+                 lambda n, w: (_urn_paths(n, w[:, :n - 1]), _times(n, w[:, n - 1:])))
+
+
+def _window(n: int, t: np.ndarray, x: np.ndarray, alpha: float, beta: float) -> np.ndarray:
+    """Per-row external length on levels ceil(n^alpha)..ceil(n^beta)-1."""
+    lo, hi = max(ceil_pow(n, alpha), 1), min(ceil_pow(n, beta) - 1, n - 1)
+    return (t[:, lo - 1:hi] * x[:, lo - 1:hi]).sum(axis=1)
+
+
+def _hat_length(n: int, paths: np.ndarray, t: np.ndarray, alpha: float, beta: float) -> np.ndarray:
+    m, big_m = max(floor_pow(n, alpha), 1), floor_pow(n, beta)
+    # increments T_(k-1) - T_k for k = 2..n, aligned so column k-2 is level k
+    inc = np.empty((t.shape[0], n - 1))
+    inc[:, :n - 2] = t[:, 0:n - 2] - t[:, 1:n - 1]
+    inc[:, n - 2] = t[:, n - 2]  # T_(n-1) - T_n with T_n = 0
+    ks = np.arange(2, n + 1)
+    weight = ks[None, :] - paths[:, n - ks]
+    contrib = inc * weight
+    return contrib[:, m - 1:].sum(axis=1) - contrib[:, big_m - 1:].sum(axis=1)
+
+
+def _tau(n: int, paths: np.ndarray) -> np.ndarray:
+    hits = paths[:, 1:n] == n - np.arange(1, n)
+    jmin = 1 + np.argmax(hits, axis=1)
+    return (n - jmin).astype(float)
+
+
+def _eta_count(n: int, paths: np.ndarray, t: np.ndarray, a: float, b: float) -> np.ndarray:
+    x = _merge_counts(paths)  # before pts and mask: its temporaries set the chunk's peak
+    pts = math.sqrt(n) * t
+    mask = (pts >= a) & (pts < b)
+    return (x * mask).sum(axis=1).astype(float)
+
+
+def _window_pair(n: int, paths: np.ndarray, t: np.ndarray, window1, window2) -> np.ndarray:
+    x = _merge_counts(paths)
+    return np.column_stack([_window(n, t, x, *window1), _window(n, t, x, *window2)])
+
+
+def _check_exponents(n: int, alpha: float, beta: float) -> None:
+    check_window(alpha, beta)
+
+
+def _check_interval(n: int, a: float, b: float) -> None:
+    if not 0 < a < b:
+        raise ValueError("need 0 < a < b")
+
+
+def _check_steps(n: int, steps) -> None:
+    s = np.asarray(steps)
+    if s.ndim != 1 or s.size == 0 or s.dtype.kind not in "iu" or s.min() < 0 or s.max() > n:
+        raise ValueError(f"step indices must be integers in 0..{n}, got {steps!r}")
+
+
+def _check_windows(n: int, window1, window2) -> None:
+    check_window(*window1)
+    check_window(*window2)
+
+
+class Statistic(NamedTuple):
+    draw: Draw
+    reduce: Callable[..., np.ndarray]  # reduce(n, *draw inputs, **keywords)
+    keywords: tuple[str, ...] = ()
+    check: Callable[..., None] = lambda n: None  # check(n, **keywords) raises ValueError
+    two_d: bool = False  # one row of values per replicate, not one value
+
+
+STATISTICS: dict[str, Statistic] = {
+    "L": Statistic(URN_TIMES, lambda n, paths, t: (t * _merge_counts(paths)).sum(axis=1)),
+    "L_window": Statistic(URN_TIMES, lambda n, paths, t, alpha, beta:
+                          _window(n, t, _merge_counts(paths), alpha, beta),
+                          ("alpha", "beta"), _check_exponents),
+    "L_hat": Statistic(URN_TIMES, _hat_length, ("alpha", "beta"), _check_exponents),
+    "tau": Statistic(URN, _tau),
+    "rho": Statistic(RHO, lambda n, rho: rho.astype(float)),
+    "R": Statistic(RHO_TIMES, lambda n, rho, t: t[np.arange(len(rho)), rho - 1]),
+    "urn_marginal": Statistic(URN, lambda n, paths, k: paths[:, k].astype(float),
+                              ("k",), lambda n, k: _check_steps(n, [k])),
+    "eta_count": Statistic(URN_TIMES, _eta_count, ("a", "b"), _check_interval),
+    "urn_snapshot": Statistic(URN, lambda n, paths, steps:
+                              paths[:, np.asarray(steps, dtype=int)].astype(float),
+                              ("steps",), _check_steps, two_d=True),
+    "window_pair": Statistic(URN_TIMES, _window_pair, ("window1", "window2"),
+                             _check_windows, two_d=True),
+}
+
+
 def _chunk_kernel(statistic: str, n: int, seed: int, stream_id: int,
                   start: int, count: int, params: dict) -> np.ndarray:
-    if statistic == "rho":
-        w = _uniform_rows(seed, stream_id, start, count, 1)
-        return _rho_inverse_cdf(n, w[:, 0]).astype(float).reshape(-1, 1)
-
-    if statistic == "R":
-        w = _uniform_rows(seed, stream_id, start, count, n)
-        rho = _rho_inverse_cdf(n, w[:, 0])
-        t = _times(n, w[:, 1:])
-        return t[np.arange(count), rho - 1].reshape(-1, 1)
-
-    draws = 2 * (n - 1) if statistic in _TIME_STATS else n - 1
-    w = _uniform_rows(seed, stream_id, start, count, draws)
-    paths = _urn_paths(n, w[:, :n - 1])
-
-    if statistic == "tau":
-        lvl = n - np.arange(1, n)
-        hits = paths[:, 1:n] == lvl
-        jmin = 1 + np.argmax(hits, axis=1)
-        return (n - jmin).astype(float).reshape(-1, 1)
-
-    if statistic == "urn_marginal":
-        return paths[:, params["k"]].astype(float).reshape(-1, 1)
-
-    if statistic == "urn_snapshot":
-        steps = np.asarray(params["steps"], dtype=int)
-        return paths[:, steps].astype(float)
-
-    t = _times(n, w[:, n - 1:])
-
-    if statistic == "L_hat":
-        alpha, beta = params["alpha"], params["beta"]
-        check_window(alpha, beta)
-        m, big_m = max(floor_pow(n, alpha), 1), floor_pow(n, beta)
-        # increments T_(k-1) - T_k for k = 2..n, aligned so column k-2 is level k
-        inc = np.empty((count, n - 1))
-        inc[:, :n - 2] = t[:, 0:n - 2] - t[:, 1:n - 1]
-        inc[:, n - 2] = t[:, n - 2]  # T_(n-1) - T_n with T_n = 0
-        ks = np.arange(2, n + 1)
-        weight = ks[None, :] - paths[:, n - ks]
-        contrib = inc * weight
-
-        def tail(lo: int) -> np.ndarray:
-            return contrib[:, lo - 1:].sum(axis=1)
-
-        return (tail(m) - tail(big_m)).reshape(-1, 1)
-
-    x = _merge_counts(paths)
-
-    if statistic == "L":
-        return (t * x).sum(axis=1).reshape(-1, 1)
-
-    if statistic == "L_window":
-        alpha, beta = params["alpha"], params["beta"]
-        check_window(alpha, beta)
-        lo, hi = ceil_pow(n, alpha), ceil_pow(n, beta) - 1
-        lo, hi = max(lo, 1), min(hi, n - 1)
-        return (t[:, lo - 1:hi] * x[:, lo - 1:hi]).sum(axis=1).reshape(-1, 1)
-
-    if statistic == "window_pair":
-        out = np.empty((count, 2))
-        for col, (a, b) in enumerate((params["window1"], params["window2"])):
-            check_window(a, b)
-            lo, hi = max(ceil_pow(n, a), 1), min(ceil_pow(n, b) - 1, n - 1)
-            out[:, col] = (t[:, lo - 1:hi] * x[:, lo - 1:hi]).sum(axis=1)
-        return out
-
-    if statistic == "eta_count":
-        a, b = params["a"], params["b"]
-        if not 0 < a < b:
-            raise ValueError("need 0 < a < b")
-        pts = math.sqrt(n) * t
-        mask = (pts >= a) & (pts < b)
-        return (x * mask).sum(axis=1).astype(float).reshape(-1, 1)
-
-    raise ValueError(f"unknown statistic {statistic!r}")
+    spec = STATISTICS[statistic]
+    w = _uniform_rows(seed, stream_id, start, count, spec.draw.uniforms(n))
+    return spec.reduce(n, *spec.draw.inputs(n, w), **params)
 
 
 def simulate(statistic: str, n: int, reps: int, seed: int, *,
@@ -193,12 +190,20 @@ def simulate(statistic: str, n: int, reps: int, seed: int, *,
     """Simulate one value (or row) per replicate.
 
     Returns a 1-D array of length reps, or 2-D (reps, d) for the
-    multi-column statistics (urn_snapshot, window_pair).
+    statistics marked two_d (urn_snapshot, window_pair).  The statistic
+    and its keywords are checked before anything is drawn.
     """
     if n < 2:
         raise ValueError("sample size must be at least 2")
     if reps < 1:
         raise ValueError("need at least one replicate")
+    spec = STATISTICS.get(statistic)
+    if spec is None:
+        raise ValueError(f"unknown statistic {statistic!r}")
+    if sorted(params) != sorted(spec.keywords):
+        raise ValueError(f"{statistic} takes keywords {list(spec.keywords)}, "
+                         f"got {sorted(params)}")
+    spec.check(n, **params)
     starts = list(range(0, reps, CHUNK))
 
     def work(start: int) -> np.ndarray:
@@ -210,7 +215,4 @@ def simulate(statistic: str, n: int, reps: int, seed: int, *,
             pieces = list(pool.map(work, starts))
     else:
         pieces = [work(s) for s in starts]
-    out = np.concatenate(pieces, axis=0)
-    if statistic in ("urn_snapshot", "window_pair"):
-        return out
-    return out[:, 0]
+    return np.concatenate(pieces, axis=0)

@@ -16,26 +16,22 @@ import numpy as np
 from . import __version__, batch, moments, verify
 from .indexing import floor_pow
 
-STATISTICS = ("L", "L_window", "L_hat", "tau", "rho", "R", "urn_marginal", "eta_count")
+# one value per replicate fits the rep,value CSV; two-column statistics do not
+STATISTICS = tuple(name for name, spec in batch.STATISTICS.items() if not spec.two_d)
 
 
-def _statistic_params(args) -> dict:
-    params: dict = {}
-    if args.statistic in ("L_window", "L_hat"):
-        params["alpha"] = args.alpha
-        params["beta"] = args.beta
-    elif args.statistic == "eta_count":
-        if args.a is None or args.b is None:
-            raise ValueError("eta_count requires --a and --b")
-        params["a"] = args.a
-        params["b"] = args.b
-    elif args.statistic == "urn_marginal":
-        if args.k is None:
-            raise ValueError("urn_marginal requires --k")
-        if not 0 <= args.k <= args.n:
-            raise ValueError("--k must lie in 0..n")
-        params["k"] = args.k
-    return params
+def _required(args, what: str, fields: tuple[str, ...]) -> list:
+    missing = [f for f in fields if getattr(args, f, None) is None]
+    if missing:
+        raise ValueError(f"{what} requires --" + ", --".join(missing))
+    return [getattr(args, f) for f in fields]
+
+
+def _simulate(args) -> tuple[dict, np.ndarray]:
+    keywords = batch.STATISTICS[args.statistic].keywords
+    params = dict(zip(keywords, _required(args, args.statistic, keywords)))
+    return params, batch.simulate(args.statistic, args.n, args.reps, args.seed,
+                                  threads=args.threads, **params)
 
 
 def _metadata_lines(args, fields: tuple[str, ...]) -> list[str]:
@@ -55,9 +51,7 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def cmd_simulate(args) -> int:
-    params = _statistic_params(args)
-    values = batch.simulate(args.statistic, args.n, args.reps, args.seed,
-                            threads=args.threads, **params)
+    params, values = _simulate(args)
     lines = _metadata_lines(args, ("seed", "n", "reps", "statistic"))
     for key, val in sorted(params.items()):
         lines.append(f"# {key}={val}")
@@ -72,18 +66,14 @@ _SCALAR_QUANTITIES = {
     "e_U": ("k",), "cov_U": ("k", "l"), "e_X": ("k",), "var_X": ("k",),
     "cov_X": ("k", "l"), "e_T": ("k",), "var_T": ("k",), "fu_li_var": (),
     "rho_cdf": ("k",), "e_L_window": ("alpha", "beta"),
+    "var_L_window_asymptotic": ("alpha", "beta"), "var_L_window_exact": ("alpha", "beta"),
 }
 
 
 def _evaluate_quantity(args) -> tuple[object, float]:
     q = args.quantity
     if q in _SCALAR_QUANTITIES:
-        fn = getattr(moments, q)
-        missing = [f for f in _SCALAR_QUANTITIES[q]
-                   if getattr(args, f, None) is None]
-        if missing:
-            raise ValueError(f"{q} requires --" + ", --".join(missing))
-        val = fn(args.n, *(getattr(args, f) for f in _SCALAR_QUANTITIES[q]))
+        val = getattr(moments, q)(args.n, *_required(args, q, _SCALAR_QUANTITIES[q]))
         return val, float(val)
     if q in ("e_hat", "var_hat"):
         m = args.m
@@ -93,12 +83,6 @@ def _evaluate_quantity(args) -> tuple[object, float]:
             raise ValueError(f"{q} requires --m or --alpha")
         val = getattr(moments, q)(args.n, m)
         return val, float(val)
-    if q == "var_L_window_asymptotic":
-        v = moments.var_L_window_asymptotic(args.n, args.alpha, args.beta)
-        return v, v
-    if q == "var_L_window_exact":
-        v = moments.var_L_window_exact(args.n, args.alpha, args.beta)
-        return v, v
     raise ValueError(f"unknown quantity {args.quantity!r}")
 
 
@@ -173,11 +157,7 @@ def _svg_histogram(edges: np.ndarray, counts: np.ndarray, title: str) -> str:
 def cmd_hist(args) -> int:
     if args.bins < 2:
         raise ValueError("need at least 2 bins")
-    if args.reps < 1:
-        raise ValueError("need at least one replicate")
-    params = _statistic_params(args)
-    values = batch.simulate(args.statistic, args.n, args.reps, args.seed,
-                            threads=args.threads, **params)
+    _, values = _simulate(args)
     counts, edges = np.histogram(values, bins=args.bins,
                                  range=(float(values.min()), float(values.max())))
     if args.format == "svg":
@@ -209,18 +189,17 @@ def build_parser() -> argparse.ArgumentParser:
                     "simulation, exact moments, verification, histograms.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_stat=True):
+    def common(p):
         p.add_argument("--n", type=int, default=50, help="sample size (leaves)")
         p.add_argument("--reps", type=int, default=10_000, help="replicates")
         p.add_argument("--seed", type=int, default=0, help="master seed")
         p.add_argument("--threads", type=int, default=_default_threads())
-        if with_stat:
-            p.add_argument("--statistic", choices=STATISTICS, default="L")
-            p.add_argument("--alpha", type=float, default=0.0)
-            p.add_argument("--beta", type=float, default=1.0)
-            p.add_argument("--a", type=float, default=None, help="interval lower end")
-            p.add_argument("--b", type=float, default=None, help="interval upper end")
-            p.add_argument("--k", type=int, default=None, help="marginal step index")
+        p.add_argument("--statistic", choices=STATISTICS, default="L")
+        p.add_argument("--alpha", type=float, default=0.0)
+        p.add_argument("--beta", type=float, default=1.0)
+        p.add_argument("--a", type=float, default=None, help="interval lower end")
+        p.add_argument("--b", type=float, default=None, help="interval upper end")
+        p.add_argument("--k", type=int, default=None, help="marginal step index")
         p.add_argument("--out", default=None, help="output path (default stdout)")
 
     p_sim = sub.add_parser("simulate", help="simulate a statistic to CSV")
@@ -238,7 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_mom.add_argument("--beta", type=float, default=None)
     p_mom.add_argument("--format", choices=("plain", "csv"), default="plain")
     p_mom.add_argument("--out", default=None)
-    p_mom.add_argument("--quantity-help", action="store_true")
     p_mom.set_defaults(func=cmd_moments)
 
     p_ver = sub.add_parser("verify", help="run acceptance suites")

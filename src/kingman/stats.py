@@ -10,18 +10,13 @@ import json
 import math
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
-from scipy.special import gammaincc
-
-from .indexing import ceil_pow
-from . import batch, moments
+from scipy.special import gammaincc, kolmogorov
 
 P_FLOOR = 0.001
 MEAN_Z_MAX = 4.0
 MIN_EXPECTED_CELL = 5.0
-KOLMOGOROV_TERMS = 100
 
 
 @dataclass(frozen=True)
@@ -65,16 +60,6 @@ class TestReport:
         }, sort_keys=False)
 
 
-def kolmogorov_sf(lam: float) -> float:
-    """P(K > lam) for the Kolmogorov distribution, series to 100 terms."""
-    if lam <= 0:
-        return 1.0
-    total = 0.0
-    for j in range(1, KOLMOGOROV_TERMS + 1):
-        total += (-1) ** (j - 1) * math.exp(-2.0 * j * j * lam * lam)
-    return min(1.0, max(0.0, 2.0 * total))
-
-
 def ks_statistic(values: np.ndarray, cdf: Callable[[float], float]) -> float:
     """One-sample KS distance sup |F_emp - F|."""
     x = np.sort(np.asarray(values, dtype=float))
@@ -92,7 +77,7 @@ def ks_test(sample: EmpiricalSample, cdf: Callable[[float], float], *,
     if sample.reps < 100:
         raise ValueError("KS test requires at least 100 replicates")
     d = ks_statistic(sample.values, cdf)
-    p = kolmogorov_sf(math.sqrt(sample.reps) * d)
+    p = float(kolmogorov(math.sqrt(sample.reps) * d))
     return TestReport(name, dict(params or {}), d, p, p_floor, p >= p_floor,
                       sample.seed, sample.reps)
 
@@ -187,66 +172,6 @@ def independence_check(sample_a: EmpiricalSample, sample_b: EmpiricalSample, *,
     limit = 4.0 / math.sqrt(reps) + 0.02
     return TestReport(name, dict(params or {}), corr, abs(corr), limit,
                       abs(corr) <= limit, sample_a.seed, reps)
-
-
-def gp_check(n: int, grid: list[tuple[float, float]], reps: int, seed: int, *,
-             threads: int = 1, stream_id: int = 0, name: str = "gp_covariance") -> TestReport:
-    """Covariance check of the centered, scaled chain against s^2 (1-t)^2.
-
-    Simulates W(t) = (U_(floor(nt)) - n t(1-t)) / sqrt(n) and requires every
-    grid covariance within 0.01 + 4 MC standard errors of the limit, and
-    every grid mean within 4 standard errors of 0.
-    """
-    if not grid:
-        raise ValueError("grid must be nonempty")
-    if n < 500:
-        raise ValueError("chain too short for the limit comparison (need n >= 500)")
-    ts = sorted({v for st in grid for v in st})
-    if any(not 0 < t < 1 for t in ts):
-        raise ValueError("grid points must lie strictly inside (0, 1)")
-    steps = [math.floor(n * t) for t in ts]
-    col = {t: i for i, t in enumerate(ts)}
-    snap = batch.simulate("urn_snapshot", n, reps, seed, threads=threads,
-                          stream_id=stream_id, steps=steps)
-    w = (snap - np.array([n * t * (1 - t) for t in ts])) / math.sqrt(n)
-    worst = -math.inf
-    for t in ts:
-        m = float(np.mean(w[:, col[t]]))
-        se = float(np.std(w[:, col[t]], ddof=1)) / math.sqrt(reps)
-        worst = max(worst, abs(m) - 4.0 * se)
-    for s, t in grid:
-        s, t = min(s, t), max(s, t)
-        prod = w[:, col[s]] * w[:, col[t]]
-        emp = float(np.mean(prod))
-        se = float(np.std(prod, ddof=1)) / math.sqrt(reps)
-        dev = abs(emp - moments.gp_cov(s, t)) - (0.01 + 4.0 * se)
-        worst = max(worst, dev)
-    return TestReport(name, {"n": n, "grid": [list(p) for p in grid]},
-                      worst, worst, 0.0, worst <= 0.0, seed, reps)
-
-
-def theorem4_bound_check(n: int, beta: float, reps: int, seed: int, *,
-                         threads: int = 1, stream_id: int = 0,
-                         name: str = "vanishing_window_bound") -> TestReport:
-    """Check P(short-window length > 0) against its exact finite-n bound.
-
-    The event {window length > 0} equals {V_m < m} with m = ceil(n**beta);
-    the bound is m(m-1)/(n-1), tested with a four-standard-error allowance.
-    """
-    if not 0 < beta < 0.5:
-        raise ValueError("need 0 < beta < 1/2")
-    m = ceil_pow(n, beta)
-    bound = float(Fraction(m * (m - 1), n - 1))
-    if m == 1:
-        emp, allowance = 0.0, 0.0
-    else:
-        v_m = batch.simulate("urn_snapshot", n, reps, seed, threads=threads,
-                             stream_id=stream_id, steps=[n - m])[:, 0]
-        emp = float(np.mean(v_m < m))
-        allowance = 4.0 * math.sqrt(bound * (1.0 - bound) / reps)
-    limit = bound + allowance
-    return TestReport(name, {"n": n, "beta": beta, "m": m, "bound": bound},
-                      emp, emp, limit, emp <= limit, seed, reps)
 
 
 def normal_cdf(x: float) -> float:

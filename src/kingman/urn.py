@@ -87,12 +87,9 @@ class ExactLaw(Mapping):
         return sum((Fraction(o) * p for o, p in self._probs.items()), ZERO)
 
     def to_json_obj(self) -> list[dict]:
-        def key(o):
-            return str(o)
-
         return [
-            {"outcome": key(o), "num": str(p.numerator), "den": str(p.denominator)}
-            for o, p in sorted(self._probs.items(), key=lambda item: key(item[0]))
+            {"outcome": str(o), "num": str(p.numerator), "den": str(p.denominator)}
+            for o, p in sorted(self._probs.items(), key=lambda item: str(item[0]))
         ]
 
 
@@ -116,8 +113,28 @@ def transition_probabilities(n: int, k: int, u: int) -> tuple[Fraction, Fraction
     return down, stay, up
 
 
-def _float_thresholds(n: int, k: int, u: int) -> tuple[float, float]:
-    # Same arithmetic as the vectorized kernel in batch.py; keep in sync.
+def successors(n: int, k: int, u: int) -> list[tuple[int, Fraction]]:
+    """Nonzero (U_(k+1), probability) pairs given U_k = u, for 0 <= k <= n-1.
+
+    The last step k = n-1 removes the final ball, so U_n = 0 surely.
+    """
+    if k == n - 1:
+        return [(0, ONE)]
+    down, stay, up = transition_probabilities(n, k, u)
+    return [(u + du, q) for du, q in ((-1, down), (0, stay), (1, up)) if q != 0]
+
+
+def step_law(n: int, k: int, dist: dict[int, Fraction]) -> dict[int, Fraction]:
+    """The law of U_(k+1) from the law of U_k."""
+    nxt: dict[int, Fraction] = {}
+    for u, p in dist.items():
+        for v, q in successors(n, k, u):
+            nxt[v] = nxt.get(v, ZERO) + p * q
+    return nxt
+
+
+def _float_thresholds(n: int, k: int, u):
+    """Step down if w < t_down, up if w >= t_stay; u may be an int64 array."""
     balls = n - k
     denom = balls * (balls - 1) / 2.0
     t_down = (u * (u - 1) / 2.0) / denom
@@ -212,16 +229,10 @@ def exact_path_law(n: int) -> ExactLaw:
     if not 2 <= n <= MAX_PATH_ENUM_N:
         raise ValueError(f"exact path enumeration limited to n <= {MAX_PATH_ENUM_N}")
     frontier: dict[tuple[int, ...], Fraction] = {(0,): ONE}
-    for k in range(n - 1):
-        nxt: dict[tuple[int, ...], Fraction] = {}
-        for prefix, p in frontier.items():
-            u = prefix[-1]
-            down, stay, up = transition_probabilities(n, k, u)
-            for du, q in ((-1, down), (0, stay), (1, up)):
-                if q != 0:
-                    nxt[prefix + (u + du,)] = nxt.get(prefix + (u + du,), ZERO) + p * q
-        frontier = nxt
-    return ExactLaw({prefix + (0,): p for prefix, p in frontier.items()})
+    for k in range(n):
+        frontier = {prefix + (v,): p * q for prefix, p in frontier.items()
+                    for v, q in successors(n, k, prefix[-1])}
+    return ExactLaw(frontier)
 
 
 MAX_BOX_ENUM_N = 5
@@ -284,17 +295,9 @@ def exact_marginal(n: int, k: int) -> ExactLaw:
         raise ValueError("sample size must be at least 2")
     if not 0 <= k <= n:
         raise ValueError(f"step k={k} outside 0..n")
-    if k == 0 or k == n:
-        return ExactLaw({0: ONE})
     dist: dict[int, Fraction] = {0: ONE}
     for step in range(k):
-        nxt: dict[int, Fraction] = {}
-        for u, p in dist.items():
-            down, stay, up = transition_probabilities(n, step, u)
-            for du, q in ((-1, down), (0, stay), (1, up)):
-                if q != 0:
-                    nxt[u + du] = nxt.get(u + du, ZERO) + p * q
-        dist = nxt
+        dist = step_law(n, step, dist)
     return ExactLaw(dist)
 
 
@@ -302,23 +305,13 @@ def exact_joint_marginal(n: int, k: int, l: int) -> dict[tuple[int, int], Fracti
     """Exact joint law of (U_k, U_l) for k <= l via two-stage DP."""
     if not 0 <= k <= l <= n:
         raise ValueError("need 0 <= k <= l <= n")
-    base = exact_marginal(n, k)
     joint: dict[tuple[int, int], Fraction] = {}
-    for a, pa in base.items():
+    for a, pa in exact_marginal(n, k).items():
         dist = {a: ONE}
         for step in range(k, l):
-            if step == n - 1:
-                dist = {0: ONE}
-                break
-            nxt: dict[int, Fraction] = {}
-            for u, p in dist.items():
-                down, stay, up = transition_probabilities(n, step, u)
-                for du, q in ((-1, down), (0, stay), (1, up)):
-                    if q != 0:
-                        nxt[u + du] = nxt.get(u + du, ZERO) + p * q
-            dist = nxt
+            dist = step_law(n, step, dist)
         for b, pb in dist.items():
-            joint[(a, b)] = joint.get((a, b), ZERO) + pa * pb
+            joint[(a, b)] = pa * pb
     return joint
 
 

@@ -13,6 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import batch, moments, stats, urn
+from .indexing import ceil_pow
 
 DEFAULT_SEED = 7
 
@@ -69,13 +70,7 @@ def check_hypergeometric(seed: int = DEFAULT_SEED, n_max: int = 50) -> stats.Tes
     for n in range(2, n_max + 1):
         dist = {0: Fraction(1)}
         for k in range(1, n):
-            nxt: dict[int, Fraction] = {}
-            for u, p in dist.items():
-                down, stay, up = urn.transition_probabilities(n, k - 1, u)
-                for du, q in ((-1, down), (0, stay), (1, up)):
-                    if q != 0:
-                        nxt[u + du] = nxt.get(u + du, Fraction(0)) + p * q
-            dist = nxt
+            dist = urn.step_law(n, k - 1, dist)
             for u in range(1, min(k, n - k) + 1):
                 checks += 1
                 if dist.get(u, Fraction(0)) != urn.hypergeometric_pmf(n, k, u - 1):
@@ -85,32 +80,28 @@ def check_hypergeometric(seed: int = DEFAULT_SEED, n_max: int = 50) -> stats.Tes
     return _exact_report("hypergeometric_marginal_exact", bad, checks, seed, {"n_max": n_max})
 
 
+def _chain_law_report(name: str, enumerated_law, n_max: int, seed: int) -> stats.TestReport:
+    """Compare an enumerated path law with the chain's path law for n <= n_max."""
+    bad = checks = 0
+    for n in range(2, n_max + 1):
+        law, chain_law = enumerated_law(n), urn.exact_path_law(n)
+        for path in set(law) | set(chain_law):
+            checks += 1
+            if law[path] != chain_law[path]:
+                bad += 1
+    return _exact_report(name, bad, checks, seed, {"n_max": n_max})
+
+
 def check_permutation_representation(seed: int = DEFAULT_SEED) -> stats.TestReport:
     """All ((n-1)!)^2 permutation pairs reproduce the path law, n <= 6."""
-    bad = checks = 0
-    for n in range(2, urn.MAX_PERM_ENUM_N + 1):
-        perm_law = urn.permutation_exact_law(n)
-        chain_law = urn.exact_path_law(n)
-        outcomes = set(perm_law) | set(chain_law)
-        for path in outcomes:
-            checks += 1
-            if perm_law[path] != chain_law[path]:
-                bad += 1
-    return _exact_report("permutation_representation_exact", bad, checks, seed, {"n_max": 6})
+    return _chain_law_report("permutation_representation_exact", urn.permutation_exact_law,
+                             urn.MAX_PERM_ENUM_N, seed)
 
 
 def check_box_scheme(seed: int = DEFAULT_SEED) -> stats.TestReport:
     """Enumerated box-scheme law equals the chain law for n <= 5."""
-    bad = checks = 0
-    for n in range(2, urn.MAX_BOX_ENUM_N + 1):
-        box_law = urn.box_scheme_exact_law(n)
-        chain_law = urn.exact_path_law(n)
-        outcomes = set(box_law) | set(chain_law)
-        for path in outcomes:
-            checks += 1
-            if box_law[path] != chain_law[path]:
-                bad += 1
-    return _exact_report("box_scheme_exact", bad, checks, seed, {"n_max": 5})
+    return _chain_law_report("box_scheme_exact", urn.box_scheme_exact_law,
+                             urn.MAX_BOX_ENUM_N, seed)
 
 
 def check_variance_identity(seed: int = DEFAULT_SEED, n_max: int = 10_000) -> stats.TestReport:
@@ -180,6 +171,67 @@ def _poisson_support(mean: float, top: int = 40) -> dict[int, float]:
     return probs
 
 
+def gp_check(n: int, grid: list[tuple[float, float]], reps: int, seed: int, *,
+             threads: int = 1, stream_id: int = 0,
+             name: str = "gp_covariance") -> stats.TestReport:
+    """Covariance check of the centered, scaled chain against s^2 (1-t)^2.
+
+    Simulates W(t) = (U_(floor(nt)) - n t(1-t)) / sqrt(n) and requires every
+    grid covariance within 0.01 + 4 MC standard errors of the limit, and
+    every grid mean within 4 standard errors of 0.
+    """
+    if not grid:
+        raise ValueError("grid must be nonempty")
+    if n < 500:
+        raise ValueError("chain too short for the limit comparison (need n >= 500)")
+    ts = sorted({v for st in grid for v in st})
+    if any(not 0 < t < 1 for t in ts):
+        raise ValueError("grid points must lie strictly inside (0, 1)")
+    steps = [math.floor(n * t) for t in ts]
+    col = {t: i for i, t in enumerate(ts)}
+    snap = batch.simulate("urn_snapshot", n, reps, seed, threads=threads,
+                          stream_id=stream_id, steps=steps)
+    w = (snap - np.array([n * t * (1 - t) for t in ts])) / math.sqrt(n)
+    worst = -math.inf
+    for t in ts:
+        m = float(np.mean(w[:, col[t]]))
+        se = float(np.std(w[:, col[t]], ddof=1)) / math.sqrt(reps)
+        worst = max(worst, abs(m) - 4.0 * se)
+    for s, t in grid:
+        s, t = min(s, t), max(s, t)
+        prod = w[:, col[s]] * w[:, col[t]]
+        emp = float(np.mean(prod))
+        se = float(np.std(prod, ddof=1)) / math.sqrt(reps)
+        dev = abs(emp - moments.gp_cov(s, t)) - (0.01 + 4.0 * se)
+        worst = max(worst, dev)
+    return stats.TestReport(name, {"n": n, "grid": [list(p) for p in grid]},
+                            worst, worst, 0.0, worst <= 0.0, seed, reps)
+
+
+def theorem4_bound_check(n: int, beta: float, reps: int, seed: int, *,
+                         threads: int = 1, stream_id: int = 0,
+                         name: str = "vanishing_window_bound") -> stats.TestReport:
+    """Check P(short-window length > 0) against its exact finite-n bound.
+
+    The event {window length > 0} equals {V_m < m} with m = ceil(n**beta);
+    the bound is m(m-1)/(n-1), tested with a four-standard-error allowance.
+    """
+    if not 0 < beta < 0.5:
+        raise ValueError("need 0 < beta < 1/2")
+    m = ceil_pow(n, beta)
+    bound = float(Fraction(m * (m - 1), n - 1))
+    if m == 1:
+        emp, allowance = 0.0, 0.0
+    else:
+        v_m = batch.simulate("urn_snapshot", n, reps, seed, threads=threads,
+                             stream_id=stream_id, steps=[n - m])[:, 0]
+        emp = float(np.mean(v_m < m))
+        allowance = 4.0 * math.sqrt(bound * (1.0 - bound) / reps)
+    limit = bound + allowance
+    return stats.TestReport(name, {"n": n, "beta": beta, "m": m, "bound": bound},
+                            emp, emp, limit, emp <= limit, seed, reps)
+
+
 def statistical_suite(seed: int = DEFAULT_SEED, threads: int = 1) -> list[stats.TestReport]:
     reports: list[stats.TestReport] = []
 
@@ -213,7 +265,7 @@ def statistical_suite(seed: int = DEFAULT_SEED, threads: int = 1) -> list[stats.
                                    params={"n": n, "a": 1.0, "b": 2.0}))
 
     # short windows are empty: exact finite-n bound
-    reports.append(stats.theorem4_bound_check(10_000, 0.25, 10_000, seed,
+    reports.append(theorem4_bound_check(10_000, 0.25, 10_000, seed,
                                               threads=threads, stream_id=_S_T4))
 
     # tau / sqrt(n) against the exp(-t^2) tail
@@ -235,7 +287,7 @@ def statistical_suite(seed: int = DEFAULT_SEED, threads: int = 1) -> list[stats.
 
     # Gaussian-process covariance of the centered chain
     grid = [(s, t) for s in (0.25, 0.5, 0.75) for t in (0.25, 0.5, 0.75) if s <= t]
-    reports.append(stats.gp_check(2_000, grid, 10_000, seed,
+    reports.append(gp_check(2_000, grid, 10_000, seed,
                                   threads=threads, stream_id=_S_GP))
 
     # asymptotic independence of adjacent windows

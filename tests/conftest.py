@@ -1,7 +1,7 @@
 """Shared test configuration.
 
 Property tests exercise exact rational arithmetic whose first call can be
-slow (module-level caches, jit warm-up), so wall-clock deadlines and the
+slow (module-level caches), so wall-clock deadlines and the
 input-generation speed health check are disabled.
 """
 

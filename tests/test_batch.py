@@ -1,5 +1,7 @@
 """Vectorized replicate engine: determinism, threading, scalar agreement."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.special import gammaincc
@@ -43,6 +45,39 @@ def test_stream_ids_are_disjoint():
     a = batch.simulate("L", 20, 100, SEED, stream_id=1)
     b = batch.simulate("L", 20, 100, SEED, stream_id=2)
     assert not np.array_equal(a, b)
+
+
+# SHA-256 of the shape and little-endian float64 bytes of simulate(stat, 40,
+# 600, SEED, **params): 600 replicates span two chunks, so chunk boundaries
+# and the thread pool are both exercised.  A changed digest means a changed
+# random stream or reduction.
+FROZEN_DIGESTS = {
+    "L": ({}, "1b04d447913de6372df49516171ff65579e58bfad17b9035ed34d0042da1375f"),
+    "L_window": ({"alpha": 0.3, "beta": 0.8},
+                 "372134c87cdba85f5d80caa32f28c1b58a634878bd41e9cc6ba9a939a85e3d4a"),
+    "L_hat": ({"alpha": 0.4, "beta": 0.9},
+              "f3b08666203e63d576555ddecd77f421dbb8977defe6ea1d76b690e19f81fb49"),
+    "tau": ({}, "531525217caef1942ac969ceaf6c1c6611c9336f17df9334aa8e5c316ca7d2b0"),
+    "rho": ({}, "372f96c1b4a54165f00f04597a9e4c428852d0881298f94e7af2f4b844b8c290"),
+    "R": ({}, "9b1b95e0ee655c1285c61681da34aacb7f0edd4fd1cf96ef95ca4676b497d5ef"),
+    "urn_marginal": ({"k": 11},
+                     "b310a9a321db6fd381ace5b8e996e292eb18d9a5ecb93eea59a50f7448ac5dfe"),
+    "eta_count": ({"a": 0.5, "b": 3.0},
+                  "8e52824226519fb9b3892d01a3a614ca49fb2ed9aa7f78e8961db30cb8cb9040"),
+    "urn_snapshot": ({"steps": [5, 20, 35]},
+                     "125103391a11ebc440c90b49efa06bc960d518fd3187afc9989efb775aa1406a"),
+    "window_pair": ({"window1": (0.0, 0.5), "window2": (0.5, 1.0)},
+                    "7a26410830a01d391b4e4f6cc130119d0b4319a0b46987b3f193c674f2a4d3de"),
+}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_outputs_match_frozen_digests(threads):
+    for stat, (params, expected) in FROZEN_DIGESTS.items():
+        out = batch.simulate(stat, 40, 600, SEED, threads=threads, **params)
+        arr = np.ascontiguousarray(out, dtype="<f8")
+        digest = hashlib.sha256(repr(arr.shape).encode() + arr.tobytes()).hexdigest()
+        assert digest == expected, stat
 
 
 def test_urn_marginal_matches_scalar_exactly():
@@ -147,23 +182,36 @@ def test_urn_marginal_frequencies():
     assert p_value > 0.001
 
 
-def test_jit_and_numpy_urn_kernels_agree():
-    pytest.importorskip("numba")
-    n, count = 37, 64
-    w = batch._uniform_rows(SEED, 0, 0, count, n - 1)
-    a = batch._urn_paths_numpy(n, w)
-    b = batch._urn_paths(n, w)  # the jit-backed kernel when numba is present
-    assert np.array_equal(a, b)
+def test_urn_snapshot_matches_scalar_past_int32_range():
+    # u*(balls-u) peaks near 27n^2/256, past 2^31 from n ~ 1.43e5
+    n = 150_000
+    steps = [n // 4, n // 2, 3 * n // 4]
+    snap = batch.simulate("urn_snapshot", n, 2, SEED, steps=steps)
+    for rep in range(2):
+        path = urn.sample_urn_path(n, replicate_stream(SEED, rep))
+        assert snap[rep].tolist() == [path.u[s] for s in steps]
 
 
-def test_input_validation():
-    with pytest.raises(ValueError):
-        batch.simulate("L", 1, 10, SEED)
-    with pytest.raises(ValueError):
-        batch.simulate("L", 10, 0, SEED)
-    with pytest.raises(ValueError):
-        batch.simulate("no_such_statistic", 10, 10, SEED)
-    with pytest.raises(ValueError):
-        batch.simulate("eta_count", 10, 10, SEED, a=2.0, b=1.0)
-    with pytest.raises(ValueError):
-        batch.simulate("L_window", 10, 10, SEED, alpha=0.9, beta=0.2)
+def _no_draws(*args):
+    raise AssertionError("bad input reached the random streams")
+
+
+BAD_INPUTS = [
+    (("L", 1, 10), {}),
+    (("L", 10, 0), {}),
+    (("no_such_statistic", 10, 10), {}),
+    (("eta_count", 10, 10), {"a": 2.0, "b": 1.0}),
+    (("L_window", 10, 10), {"alpha": 0.9, "beta": 0.2}),
+    (("urn_snapshot", 10, 10), {"steps": [-1]}),
+    (("urn_snapshot", 10, 10), {"steps": [11]}),
+    (("urn_marginal", 10, 10), {"k": -1}),
+    (("L_window", 10, 10), {"alhpa": 0.3, "beta": 0.8}),
+    (("L", 10, 10), {"alpha": 0.3}),
+]
+
+
+def test_input_validation(monkeypatch):
+    monkeypatch.setattr(batch, "_uniform_rows", _no_draws)
+    for args, params in BAD_INPUTS:
+        with pytest.raises(ValueError):
+            batch.simulate(*args, SEED, **params)

@@ -43,6 +43,8 @@ def test_simulate_requires_statistic_params():
                     "--reps", "10"]) == 2
     assert run_cli(["simulate", "--statistic", "eta_count", "--n", "10",
                     "--reps", "10"]) == 2
+    assert run_cli(["simulate", "--statistic", "urn_marginal", "--n", "10",
+                    "--reps", "10", "--k", "11"]) == 2
 
 
 def test_simulate_window_statistic(tmp_path):
@@ -85,6 +87,7 @@ def test_moments_usage_errors():
     assert run_cli(["moments", "--quantity", "e_T", "--n", "10"]) == 2
     assert run_cli(["moments", "--quantity", "nonsense", "--n", "10"]) == 2
     assert run_cli(["moments", "--quantity", "e_hat", "--n", "10"]) == 2
+    assert run_cli(["moments", "--quantity", "var_L_window_exact", "--n", "10"]) == 2
 
 
 def test_verify_exact_suite(tmp_path):

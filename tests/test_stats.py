@@ -5,23 +5,14 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import kolmogorov
 
-from kingman import stats
+from kingman import stats, verify
 from kingman.rng import master_stream
 
 
 def make_sample(values, seed=0, name="x"):
     values = np.asarray(values, dtype=float)
     return stats.EmpiricalSample(values, 10, len(values), seed, name)
-
-
-def test_kolmogorov_sf_matches_scipy():
-    for lam in (0.3, 0.5, 0.8, 1.0, 1.36, 2.0, 3.0):
-        assert stats.kolmogorov_sf(lam) == pytest.approx(float(kolmogorov(lam)),
-                                                         rel=1e-10, abs=1e-15)
-    assert stats.kolmogorov_sf(0.0) == 1.0
-    assert stats.kolmogorov_sf(-1.0) == 1.0
 
 
 def test_ks_statistic_hand_example():
@@ -125,13 +116,13 @@ def test_independence_check():
 
 
 def test_gp_check_passes_at_scale():
-    rep = stats.gp_check(1000, [(0.5, 0.5)], 4000, 99, stream_id=17)
+    rep = verify.gp_check(1000, [(0.5, 0.5)], 4000, 99, stream_id=17)
     assert rep.passed
 
 
 def test_theorem_bound_check_input_validation():
     with pytest.raises(ValueError):
-        stats.theorem4_bound_check(1000, 0.7, 1000, 1)
+        verify.theorem4_bound_check(1000, 0.7, 1000, 1)
 
 
 def test_normal_cdf():
