@@ -4,6 +4,7 @@ Replicate r draws from its own counter-based stream (see rng.py), and
 replicates are processed in fixed-size chunks whose boundaries do not
 depend on the thread count, so any statistic simulated here is bitwise
 reproducible for a given (seed, n, reps) no matter how work is scheduled.
+A chunk re-keys one Philox per replicate: the bits of rng.replicate_stream.
 
 The per-replicate draw order matches the scalar samplers in urn.py and
 coalescent.py: first the n-1 urn-transition uniforms, then (if the
@@ -23,16 +24,23 @@ from typing import NamedTuple
 import numpy as np
 
 from .indexing import ceil_pow, check_window, floor_pow
-from .rng import replicate_stream
+from .rng import replicate_key
 from .urn import _float_thresholds
 
 CHUNK = 512
 
 
 def _uniform_rows(seed: int, stream_id: int, start: int, count: int, draws: int) -> np.ndarray:
+    """Row i is replicate_stream(seed, start + i, stream_id).random(draws), bit for bit."""
+    bit_gen = np.random.Philox(key=0)  # local to the call: pool threads never share it
+    gen = np.random.Generator(bit_gen)
+    fresh = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": None},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     out = np.empty((count, draws))
     for i in range(count):
-        out[i] = replicate_stream(seed, start + i, stream_id).random(draws)
+        fresh["state"]["key"] = replicate_key(seed, start + i, stream_id)
+        bit_gen.state = fresh  # new key, zero counter, empty buffer
+        gen.random(out=out[i])
     return out
 
 
@@ -70,7 +78,7 @@ def _merge_counts(paths: np.ndarray) -> np.ndarray:
     """X_1..X_(n-1) per row from trajectories, via X_k = 1 + U_(n-k) - U_(n-k-1)."""
     n = paths.shape[1] - 1
     diff = paths[:, 1:n] - paths[:, 0:n - 1]
-    return (1 + diff[:, ::-1]).astype(np.int32)
+    return 1 + diff[:, ::-1]  # int32, like paths
 
 
 def _rho_inverse_cdf(n: int, w: np.ndarray) -> np.ndarray:
@@ -204,6 +212,7 @@ def simulate(statistic: str, n: int, reps: int, seed: int, *,
         raise ValueError(f"{statistic} takes keywords {list(spec.keywords)}, "
                          f"got {sorted(params)}")
     spec.check(n, **params)
+    replicate_key(seed, reps - 1, stream_id)  # rejects a bad stream id or too many reps
     starts = list(range(0, reps, CHUNK))
 
     def work(start: int) -> np.ndarray:

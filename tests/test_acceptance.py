@@ -27,18 +27,30 @@ def exact_reports():
 
 
 @pytest.fixture(scope="module")
-def stat_reports():
-    return {r.name: r for r in verify.statistical_suite(SEED)}
+def drawn():
+    """What batch.simulate returned to the statistical suite, by stream id."""
+    return {}
 
 
 @pytest.fixture(scope="module")
-def eta_sample(stat_reports):
-    """The counts behind criterion 12, redrawn once from the gate's stream."""
+def stat_reports(drawn):
+    simulate = batch.simulate
+
+    def recording(*args, **kwargs):
+        drawn[kwargs.get("stream_id", 0)] = values = simulate(*args, **kwargs)
+        return values
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(batch, "simulate", recording)
+        return {r.name: r for r in verify.statistical_suite(SEED)}
+
+
+@pytest.fixture(scope="module")
+def eta_sample(stat_reports, drawn):
+    """The counts behind criterion 12, as the gate drew them."""
     gate = stat_reports["scaled_point_counts_mean"]
-    n, a, b = gate.params["n"], gate.params["a"], gate.params["b"]
-    values = batch.simulate("eta_count", n, gate.reps, gate.seed,
-                            stream_id=verify._S_ETA, a=a, b=b)
-    return stats.EmpiricalSample(values, n, gate.reps, gate.seed, "eta_count")
+    return stats.EmpiricalSample(drawn[verify._S_ETA], gate.params["n"], gate.reps,
+                                 gate.seed, "eta_count")
 
 
 def verdict_line(number, label, report):
@@ -110,7 +122,7 @@ def test_criterion_10_total_length_variance(stat_reports):
           stat_reports["total_length_variance"])
 
 
-def test_criterion_11_truncated_length_normality(stat_reports):
+def test_criterion_11_truncated_length_normality(stat_reports, drawn):
     gate = stat_reports["truncated_length_normality"]
     show_limit(11, "standardized truncated length vs N(0,1), KS p >= 0.001", gate)
     # The standardized law still has skewness ~0.47 at n=50 (0.25 at 500,
@@ -118,9 +130,7 @@ def test_criterion_11_truncated_length_normality(stat_reports):
     # sample is held to its exact finite-n mean and variance instead.
     n, alpha = gate.params["n"], gate.params["alpha"]
     m = floor_pow(n, alpha)
-    values = batch.simulate("L_hat", n, gate.reps, gate.seed, stream_id=verify._S_HAT,
-                            alpha=alpha, beta=1.0)
-    hat = stats.EmpiricalSample(values, n, gate.reps, gate.seed, "L_hat")
+    hat = stats.EmpiricalSample(drawn[verify._S_HAT], n, gate.reps, gate.seed, "L_hat")
     mu, var = moments.e_hat(n, m), moments.var_hat(n, m)
     standardized = (hat.values - float(mu)) / math.sqrt(float(var))
     assert stats.ks_statistic(standardized, stats.normal_cdf) == gate.statistic

@@ -80,6 +80,28 @@ def test_outputs_match_frozen_digests(threads):
         assert digest == expected, stat
 
 
+# (seed, stream_id, start, count): seeds outside 0..2^64-1 are masked, and the
+# last rows sit at the top of the stream id and replicate ranges
+EDGE_KEYS = [(SEED, 0, 0, 3), (-5, 3, 7, 4), (2 ** 70, 1, 100, 2),
+             (SEED, 2 ** 16 - 1, 9, 2), (SEED, 5, 2 ** 48 - 512, 512)]
+
+
+@pytest.mark.parametrize("draws", [1, 2, 3, 98, 1000])
+def test_uniform_rows_match_replicate_streams(draws):
+    # odd draw counts leave the Philox buffer part-used between replicates
+    for seed, stream_id, start, count in EDGE_KEYS:
+        rows = batch._uniform_rows(seed, stream_id, start, count, draws)
+        assert rows.shape == (count, draws)
+        for i in range(count):
+            expect = replicate_stream(seed, start + i, stream_id).random(draws)
+            assert rows[i].tobytes() == expect.tobytes(), (seed, stream_id, start + i)
+
+
+def test_uniform_rows_reject_replicates_past_the_key_range():
+    with pytest.raises(ValueError):
+        batch._uniform_rows(SEED, 0, 2 ** 48 - 511, 512, 3)
+
+
 def test_urn_marginal_matches_scalar_exactly():
     n, k = 15, 6
     vals = batch.simulate("urn_marginal", n, 200, SEED, k=k)
@@ -207,6 +229,8 @@ BAD_INPUTS = [
     (("urn_marginal", 10, 10), {"k": -1}),
     (("L_window", 10, 10), {"alhpa": 0.3, "beta": 0.8}),
     (("L", 10, 10), {"alpha": 0.3}),
+    (("L", 10, 10), {"stream_id": -1}),
+    (("L", 10, 10), {"stream_id": 1 << 16}),
 ]
 
 
