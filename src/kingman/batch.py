@@ -77,8 +77,9 @@ def _times(n: int, w: np.ndarray) -> np.ndarray:
 def _merge_counts(paths: np.ndarray) -> np.ndarray:
     """X_1..X_(n-1) per row from trajectories, via X_k = 1 + U_(n-k) - U_(n-k-1)."""
     n = paths.shape[1] - 1
-    diff = paths[:, 1:n] - paths[:, 0:n - 1]
-    return 1 + diff[:, ::-1]  # int32, like paths
+    x = paths[:, n - 1:0:-1] - paths[:, n - 2::-1]
+    x += 1
+    return x
 
 
 def _rho_inverse_cdf(n: int, w: np.ndarray) -> np.ndarray:
@@ -127,10 +128,10 @@ def _tau(n: int, paths: np.ndarray) -> np.ndarray:
 
 
 def _eta_count(n: int, paths: np.ndarray, t: np.ndarray, a: float, b: float) -> np.ndarray:
-    x = _merge_counts(paths)  # before pts and mask: its temporaries set the chunk's peak
     pts = math.sqrt(n) * t
     mask = (pts >= a) & (pts < b)
-    return (x * mask).sum(axis=1).astype(float)
+    # merge counts last: made before pts, they add one int32 array to the chunk's peak
+    return (_merge_counts(paths) * mask).sum(axis=1).astype(float)
 
 
 def _window_pair(n: int, paths: np.ndarray, t: np.ndarray, window1, window2) -> np.ndarray:

@@ -16,7 +16,7 @@ _MAX_REPLICATE = 1 << 48
 _MAX_STREAM = 1 << 16
 
 
-def replicate_key(seed: int, replicate: int, stream_id: int = 0) -> list[int]:
+def replicate_key(seed: int, replicate: int, stream_id: int) -> list[int]:
     """The Philox key of one replicate, as two 64-bit words."""
     if not 0 <= replicate < _MAX_REPLICATE:
         raise ValueError("replicate index out of range")
