@@ -3,8 +3,8 @@
 Each replicate owns an independent counter-based Philox stream whose
 128-bit key encodes (master seed, stream id, replicate index), so results
 never depend on how replicates are scheduled across threads.
-The batch engine re-keys one Philox per chunk for each replicate instead of
-building one per replicate; it draws the same bits as replicate_stream.
+The batch engine builds one Philox per chunk and re-keys it for each
+replicate, which draws the same bits as replicate_stream.
 """
 
 from __future__ import annotations
