@@ -6,6 +6,12 @@ depend on the thread count, so any statistic simulated here is bitwise
 reproducible for a given (seed, n, reps) no matter how work is scheduled.
 A chunk re-keys one Philox per replicate: the bits of rng.replicate_stream.
 
+With threads > 1, chunks run on forked worker processes, at most one per
+usable CPU: the chunk kernel is many small numpy steps that hold the
+interpreter lock, so threads would only take turns.  A worker receives a
+chunk's (seed, stream_id, start, count) and returns its values, which are
+concatenated in chunk order.
+
 The per-replicate draw order matches the scalar samplers in urn.py and
 coalescent.py: first the n-1 urn-transition uniforms, then (if the
 statistic needs times) the n-1 waiting-time uniforms in descending k.
@@ -17,8 +23,8 @@ what each replicate draws, and the reduction of those draws to its value.
 from __future__ import annotations
 
 import math
+import os
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple
 
 import numpy as np
@@ -32,7 +38,7 @@ CHUNK = 512
 
 def _uniform_rows(seed: int, stream_id: int, start: int, count: int, draws: int) -> np.ndarray:
     """Row i is replicate_stream(seed, start + i, stream_id).random(draws), bit for bit."""
-    bit_gen = np.random.Philox(key=0)  # local to the call: pool threads never share it
+    bit_gen = np.random.Philox(key=0)
     gen = np.random.Generator(bit_gen)
     fresh = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": None},
              "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
@@ -194,14 +200,25 @@ def _chunk_kernel(statistic: str, n: int, seed: int, stream_id: int,
     return spec.reduce(n, *spec.draw.inputs(n, w), **params)
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
 def simulate(statistic: str, n: int, reps: int, seed: int, *,
              threads: int = 1, stream_id: int = 0, **params) -> np.ndarray:
     """Simulate one value (or row) per replicate.
 
     Returns a 1-D array of length reps, or 2-D (reps, d) for the
     statistics marked two_d (urn_snapshot, window_pair).  The statistic
-    and its keywords are checked before anything is drawn.
+    and its keywords are checked before anything is drawn.  threads is
+    the number of worker processes, capped at the chunk count and at the
+    CPUs this process may use; it never changes the output.
     """
+    if not isinstance(threads, (int, np.integer)) or threads < 1:
+        raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
     if n < 2:
         raise ValueError("sample size must be at least 2")
     if reps < 1:
@@ -214,15 +231,18 @@ def simulate(statistic: str, n: int, reps: int, seed: int, *,
                          f"got {sorted(params)}")
     spec.check(n, **params)
     replicate_key(seed, reps - 1, stream_id)  # rejects a bad stream id or too many reps
-    starts = list(range(0, reps, CHUNK))
+    chunks = [(statistic, n, seed, stream_id, start, min(CHUNK, reps - start), params)
+              for start in range(0, reps, CHUNK)]
+    workers = min(threads, len(chunks), _usable_cpus())
+    if workers > 1:
+        import multiprocessing  # here, so that importing kingman does not pay for it
+        from concurrent.futures import ProcessPoolExecutor
 
-    def work(start: int) -> np.ndarray:
-        count = min(CHUNK, reps - start)
-        return _chunk_kernel(statistic, n, seed, stream_id, start, count, params)
-
-    if threads > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            pieces = list(pool.map(work, starts))
-    else:
-        pieces = [work(s) for s in starts]
-    return np.concatenate(pieces, axis=0)
+        if "fork" in multiprocessing.get_all_start_methods():
+            # fork: workers share the imported modules instead of importing them again
+            context = multiprocessing.get_context("fork")
+            with ProcessPoolExecutor(workers, mp_context=context) as pool:
+                # map takes one iterable per argument and yields in chunk order
+                pieces = list(pool.map(_chunk_kernel, *zip(*chunks)))
+            return np.concatenate(pieces, axis=0)
+    return np.concatenate([_chunk_kernel(*chunk) for chunk in chunks], axis=0)

@@ -182,6 +182,10 @@ def _default_threads() -> int:
     return 1
 
 
+THREADS_HELP = ("worker processes (default $KINGMAN_THREADS or 1), capped at the "
+                "usable CPUs; the output is byte-identical for any value")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kingman",
@@ -193,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=int, default=50, help="sample size (leaves)")
         p.add_argument("--reps", type=int, default=10_000, help="replicates")
         p.add_argument("--seed", type=int, default=0, help="master seed")
-        p.add_argument("--threads", type=int, default=_default_threads())
+        p.add_argument("--threads", type=int, default=_default_threads(), help=THREADS_HELP)
         p.add_argument("--statistic", choices=STATISTICS, default="L")
         p.add_argument("--alpha", type=float, default=0.0)
         p.add_argument("--beta", type=float, default=1.0)
@@ -222,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="run acceptance suites")
     p_ver.add_argument("--suite", choices=("exact", "statistical", "all"), default="all")
     p_ver.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
-    p_ver.add_argument("--threads", type=int, default=_default_threads())
+    p_ver.add_argument("--threads", type=int, default=_default_threads(), help=THREADS_HELP)
     p_ver.add_argument("--out", default=None)
     p_ver.set_defaults(func=cmd_verify)
 

@@ -42,7 +42,7 @@ def stat_reports(drawn):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(batch, "simulate", recording)
-        return {r.name: r for r in verify.statistical_suite(SEED)}
+        return {r.name: r for r in verify.statistical_suite(SEED, threads=2)}
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,8 @@
-"""Vectorized replicate engine: determinism, threading, scalar agreement."""
+"""Vectorized replicate engine: determinism, worker pool, scalar agreement."""
 
+import concurrent.futures
 import hashlib
+import os
 
 import numpy as np
 import pytest
@@ -24,14 +26,6 @@ def test_repeatable():
     a = batch.simulate("L", 20, 300, SEED)
     b = batch.simulate("L", 20, 300, SEED)
     assert a.tobytes() == b.tobytes()
-
-
-def test_thread_count_invariance():
-    for stat, params in (("L", {}), ("tau", {}), ("rho", {}),
-                         ("eta_count", {"a": 1.0, "b": 2.0})):
-        a = batch.simulate(stat, 40, 2000, SEED, threads=1, **params)
-        b = batch.simulate(stat, 40, 2000, SEED, threads=8, **params)
-        assert a.tobytes() == b.tobytes()
 
 
 def test_replicate_count_extension():
@@ -78,6 +72,48 @@ def test_outputs_match_frozen_digests(threads):
         arr = np.ascontiguousarray(out, dtype="<f8")
         digest = hashlib.sha256(repr(arr.shape).encode() + arr.tobytes()).hexdigest()
         assert digest == expected, stat
+
+
+def test_thread_count_invariance():
+    assert FROZEN_DIGESTS.keys() == batch.STATISTICS.keys()
+    reps = 3 * batch.CHUNK + 7  # four chunks, the last one short
+    for stat, (params, _) in FROZEN_DIGESTS.items():
+        a = batch.simulate(stat, 40, reps, SEED, threads=1, **params)
+        for threads in (2, 8):
+            b = batch.simulate(stat, 40, reps, SEED, threads=threads, **params)
+            assert a.tobytes() == b.tobytes(), (stat, threads)
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The max_workers of every process pool simulate starts."""
+    started = []
+
+    class Recording(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    return started
+
+
+def test_pool_size_is_capped_by_chunks_and_cpus(pools):
+    expected = [2] if len(os.sched_getaffinity(0)) >= 2 else []
+    batch.simulate("L", 20, batch.CHUNK + 1, SEED, threads=8)  # two chunks
+    assert pools == expected
+    batch.simulate("L", 20, batch.CHUNK + 1, SEED, threads=1)
+    batch.simulate("L", 20, batch.CHUNK, SEED, threads=8)  # one chunk
+    assert pools == expected
+
+
+def test_worker_exception_reaches_caller(monkeypatch):
+    def broken(n, w):
+        raise RuntimeError("urn step failed")
+
+    monkeypatch.setattr(batch, "_urn_paths", broken)  # the forked workers inherit it
+    with pytest.raises(RuntimeError, match="urn step failed"):
+        batch.simulate("tau", 20, 3 * batch.CHUNK, SEED, threads=2)
 
 
 # (seed, stream_id, start, count): seeds outside 0..2^64-1 are masked, and the
@@ -231,6 +267,9 @@ BAD_INPUTS = [
     (("L", 10, 10), {"alpha": 0.3}),
     (("L", 10, 10), {"stream_id": -1}),
     (("L", 10, 10), {"stream_id": 1 << 16}),
+    (("L", 10, 10), {"threads": 0}),
+    (("L", 10, 10), {"threads": -3}),
+    (("L", 10, 10), {"threads": 1.5}),
 ]
 
 

@@ -38,6 +38,11 @@ def test_simulate_deterministic_across_threads(tmp_path):
     assert read(a) == read(b)
 
 
+def test_simulate_rejects_zero_threads():
+    assert run_cli(["simulate", "--statistic", "L", "--n", "10", "--reps", "10",
+                    "--threads", "0"]) == 2
+
+
 def test_simulate_requires_statistic_params():
     assert run_cli(["simulate", "--statistic", "urn_marginal", "--n", "10",
                     "--reps", "10"]) == 2
