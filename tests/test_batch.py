@@ -43,7 +43,7 @@ def test_stream_ids_are_disjoint():
 
 # SHA-256 of the shape and little-endian float64 bytes of simulate(stat, 40,
 # 600, SEED, **params): 600 replicates span two chunks, so chunk boundaries
-# and the thread pool are both exercised.  A changed digest means a changed
+# and the worker pool are both exercised.  A changed digest means a changed
 # random stream or reduction.
 FROZEN_DIGESTS = {
     "L": ({}, "1b04d447913de6372df49516171ff65579e58bfad17b9035ed34d0042da1375f"),
@@ -84,21 +84,15 @@ def test_thread_count_invariance():
             assert a.tobytes() == b.tobytes(), (stat, threads)
 
 
-@pytest.fixture
-def pools(monkeypatch):
-    """The max_workers of every process pool simulate starts."""
-    started = []
+def test_pool_size_is_capped_by_chunks_and_cpus(monkeypatch):
+    pools = []  # max_workers of every process pool simulate starts
 
     class Recording(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, max_workers=None, **kwargs):
-            started.append(max_workers)
+            pools.append(max_workers)
             super().__init__(max_workers, **kwargs)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
-    return started
-
-
-def test_pool_size_is_capped_by_chunks_and_cpus(pools):
     expected = [2] if len(os.sched_getaffinity(0)) >= 2 else []
     batch.simulate("L", 20, batch.CHUNK + 1, SEED, threads=8)  # two chunks
     assert pools == expected
