@@ -1,13 +1,20 @@
 """Vectorized, reproducible Monte Carlo over replicates.
 
-Replicate r draws from its own counter-based stream (see rng.py), and
-replicates are processed in fixed-size chunks whose boundaries do not
-depend on the thread count, so any statistic simulated here is bitwise
-reproducible for a given (seed, n, reps) no matter how work is scheduled.
-A chunk re-keys one Philox per replicate: the bits of rng.replicate_stream.
+Replicate r draws from its own counter-based stream (see rng.py), so any
+statistic simulated here is bitwise reproducible for a given (seed, n,
+reps), whatever the chunk width, the block size or the thread count.  A
+chunk re-keys one Philox per replicate: the bits of rng.replicate_stream.
+
+A chunk's width is set by a byte budget: each Draw kind states the bytes
+one replicate holds, reduction included, and a chunk takes as many
+replicates as the budget holds, at most MAX_WIDTH.  The urn chain is
+stepped a block of BLOCK draws at a time: a block's uniforms are taken at
+their offset in every replicate's stream (a Philox stream is addressed by
+its counter), transposed, and stepped in place on contiguous rows.
 
 With threads > 1, chunks run on forked worker processes, at most one per
-usable CPU: the chunk kernel is many small numpy steps that hold the
+usable CPU, and each worker is given the same number of chunks, at least
+two: the chunk kernel is many small numpy steps that hold the
 interpreter lock, so threads would only take turns.  A worker receives a
 chunk's (seed, stream_id, start, count) and returns its values, which are
 concatenated in chunk order.
@@ -31,53 +38,100 @@ import numpy as np
 
 from .indexing import ceil_pow, check_window, floor_pow
 from .rng import replicate_key
-from .urn import _float_thresholds
 
-CHUNK = 512
+BLOCK = 2048  # draws per replicate taken at once; a multiple of 4, Philox's output block
+BUDGET = 192 << 20  # bytes one chunk may hold
+MAX_WIDTH = 1536  # replicates per chunk, however many the budget would hold
 
 
-def _uniform_rows(seed: int, stream_id: int, start: int, count: int, draws: int) -> np.ndarray:
-    """Row i is replicate_stream(seed, start + i, stream_id).random(draws), bit for bit."""
+def _uniform_rows(seed: int, stream_id: int, start: int, count: int, draws: int,
+                  offset: int = 0) -> np.ndarray:
+    """Row i is replicate_stream(seed, start + i, stream_id).random(offset + draws)[offset:].
+
+    Philox makes four 64-bit words per counter value and each draw takes
+    one word, so a row starts at counter offset // 4 and skips offset % 4
+    words: draws offset.. of the stream, bit for bit, without the ones before.
+    """
     bit_gen = np.random.Philox(key=0)
     gen = np.random.Generator(bit_gen)
-    fresh = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": None},
+    fresh = {"bit_generator": "Philox", "state": {"counter": [offset // 4, 0, 0, 0], "key": None},
              "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    skip = offset % 4
     out = np.empty((count, draws))
     for i in range(count):
         fresh["state"]["key"] = replicate_key(seed, start + i, stream_id)
-        bit_gen.state = fresh  # new key, zero counter, empty buffer
+        bit_gen.state = fresh  # new key, counter at the offset, empty buffer
+        if skip:
+            bit_gen.random_raw(skip)
         gen.random(out=out[i])
     return out
 
 
-def _urn_paths(n: int, w: np.ndarray) -> np.ndarray:
-    """Step the chain for each row of uniforms w (count, n-1).
+def _urn_paths(n: int, seed: int, stream_id: int, start: int, count: int,
+               times: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
+    """Draw and step the urn chain of replicates start..start+count-1.
 
-    Returns int32 trajectories of shape (count, n+1).  The state is int64 so
-    that u*(balls-u) cannot overflow; the thresholds are the scalar
-    sampler's, evaluated on the whole state vector.
+    Returns int32 trajectories of shape (count, n+1) and, with times, the
+    n-1 waiting-time uniforms that follow the urn uniforms in each stream,
+    shape (count, n-1); else None.  Draws are taken BLOCK at a time; a
+    block's urn uniforms are transposed, so each step works in place on
+    contiguous rows, and each row then holds the states it drove.  The
+    state is float64 holding exact integers (u(u-1) and u(balls-u) stay
+    below 2^53), so the thresholds are urn._float_thresholds' bit for bit.
     """
-    count = w.shape[0]
+    sub, mul, div, add = np.subtract, np.multiply, np.divide, np.add
+    less, greater_equal = np.less, np.greater_equal
+    steps = n - 1
+    total = 2 * steps if times else steps
     paths = np.zeros((count, n + 1), dtype=np.int32)
-    u = np.zeros(count, dtype=np.int64)
-    for k in range(n - 1):
-        t_down, t_stay = _float_thresholds(n, k, u)
-        wk = w[:, k]
-        u = u - (wk < t_down) + (wk >= t_stay)
-        paths[:, k + 1] = u
-    return paths
+    t = np.empty((count, steps)) if times else None
+    rows = np.empty((min(BLOCK, steps), count))
+    u = carry = np.zeros(count)
+    down, stay = np.empty(count), np.empty(count)
+    below, above = np.empty(count, dtype=bool), np.empty(count, dtype=bool)
+    for first in range(0, total, BLOCK):
+        w = _uniform_rows(seed, stream_id, start, count, min(BLOCK, total - first), first)
+        m = min(max(steps - first, 0), w.shape[1])  # urn columns of this block
+        if m < w.shape[1]:
+            t[:, first + m - steps:first + w.shape[1] - steps] = w[:, m:]
+        block = rows[:m]
+        _copy_transposed(block, w[:, :m])
+        del w  # before the next block is drawn
+        for j, row in enumerate(block):
+            balls = n - first - j
+            pairs = float(balls * (balls - 1))  # twice the scalar sampler's denom
+            # positional out: keyword arguments cost more than a step's arithmetic
+            sub(u, 1.0, down); mul(down, u, down); div(down, pairs, down)
+            sub(balls, u, stay); mul(stay, u, stay); div(stay, pairs / 2, stay)
+            add(stay, down, stay)
+            less(row, down, below); greater_equal(row, stay, above)
+            sub(u, below, row); add(row, above, row)  # the row now holds U_(k+1)
+            u = row
+        np.copyto(carry, u)  # the next block overwrites the rows
+        u = carry
+        _copy_transposed(paths[:, first + 1:first + m + 1], block)
+    return paths, t
+
+
+def _copy_transposed(dst: np.ndarray, src: np.ndarray) -> None:
+    """dst[...] = src.T, casting; in tiles of rows of src that stay in cache."""
+    for i in range(0, src.shape[0], 64):
+        np.copyto(dst[:, i:i + 64], src[i:i + 64].T, casting="unsafe")
 
 
 def _times(n: int, w: np.ndarray) -> np.ndarray:
     """T_1..T_(n-1) per row from waiting-time uniforms (descending k order).
 
-    Column j of w drives level k = n - j.  Returns shape (count, n-1) with
-    column k-1 holding T_k; T_n = 0 is implicit.
+    Column j of w drives level k = n - j.  Works in place on w and returns
+    a view of shape (count, n-1) with column k-1 holding T_k; T_n = 0 is
+    implicit.
     """
     ks = np.arange(n, 1, -1, dtype=float)
-    inc = -np.log1p(-w) / (ks * (ks - 1) / 2.0)
-    cs = np.cumsum(inc, axis=1)
-    return cs[:, ::-1]
+    np.negative(w, out=w)
+    np.log1p(w, out=w)
+    np.divide(w, ks * (ks - 1) / -2.0, out=w)  # the increments -log1p(-w) / rate
+    np.cumsum(w, axis=1, out=w)
+    return w[:, ::-1]
 
 
 def _merge_counts(paths: np.ndarray) -> np.ndarray:
@@ -96,17 +150,44 @@ def _rho_inverse_cdf(n: int, w: np.ndarray) -> np.ndarray:
 
 
 class Draw(NamedTuple):
-    """What one replicate draws, and what a chunk of draws turns into."""
+    """What a chunk draws and turns into reducer inputs, and the memory it takes."""
 
-    uniforms: Callable[[int], int]  # uniforms per replicate, given n
-    inputs: Callable[[int, np.ndarray], tuple]  # (n, w) -> reducer inputs
+    inputs: Callable[..., tuple]  # (n, seed, stream_id, start, count) -> reducer inputs
+    bytes: Callable[[int], int]  # most bytes one replicate holds in its chunk, given n
 
 
-RHO = Draw(lambda n: 1, lambda n, w: (_rho_inverse_cdf(n, w[:, 0]),))
-RHO_TIMES = Draw(lambda n: n, lambda n, w: (_rho_inverse_cdf(n, w[:, 0]), _times(n, w[:, 1:])))
-URN = Draw(lambda n: n - 1, lambda n, w: (_urn_paths(n, w),))
-URN_TIMES = Draw(lambda n: 2 * (n - 1),
-                 lambda n, w: (_urn_paths(n, w[:, :n - 1]), _times(n, w[:, n - 1:])))
+def _rho(n: int, *chunk) -> tuple:
+    return (_rho_inverse_cdf(n, _uniform_rows(*chunk, 1)[:, 0]),)
+
+
+def _rho_times(n: int, *chunk) -> tuple:
+    w = _uniform_rows(*chunk, n)
+    return _rho_inverse_cdf(n, w[:, 0]), _times(n, w[:, 1:])
+
+
+def _urn_times(n: int, *chunk) -> tuple:
+    paths, w = _urn_paths(n, *chunk, times=True)
+    return paths, _times(n, w)
+
+
+def _block_bytes(draws: int, steps: int) -> int:
+    # a block of uniforms and its urn columns, transposed
+    return 8 * min(BLOCK, draws) + 8 * min(BLOCK, steps)
+
+
+# Bytes per replicate: int32 paths (4n), float64 times (8n), the blocks, and
+# the largest reduction of the kind: tau's boolean hits (n); L_hat's
+# increments and weights (16n); eta_count's points, mask and counts (13n).
+RHO = Draw(_rho, lambda n: 64)
+RHO_TIMES = Draw(_rho_times, lambda n: 8 * n + 64)
+URN = Draw(lambda n, *chunk: _urn_paths(n, *chunk)[:1],
+           lambda n: 5 * (n + 1) + _block_bytes(n - 1, n - 1) + 64)
+URN_TIMES = Draw(_urn_times, lambda n: 28 * (n + 1) + _block_bytes(2 * (n - 1), n - 1) + 64)
+
+
+def _width(draw: Draw, n: int) -> int:
+    """Replicates per chunk: as many as BUDGET holds, at least 1, at most MAX_WIDTH."""
+    return max(1, min(MAX_WIDTH, BUDGET // draw.bytes(n)))
 
 
 def _window(n: int, t: np.ndarray, x: np.ndarray, alpha: float, beta: float) -> np.ndarray:
@@ -119,11 +200,11 @@ def _hat_length(n: int, paths: np.ndarray, t: np.ndarray, alpha: float, beta: fl
     m, big_m = max(floor_pow(n, alpha), 1), floor_pow(n, beta)
     # increments T_(k-1) - T_k for k = 2..n, aligned so column k-2 is level k
     inc = np.empty((t.shape[0], n - 1))
-    inc[:, :n - 2] = t[:, 0:n - 2] - t[:, 1:n - 1]
+    np.subtract(t[:, 0:n - 2], t[:, 1:n - 1], out=inc[:, :n - 2])
     inc[:, n - 2] = t[:, n - 2]  # T_(n-1) - T_n with T_n = 0
-    ks = np.arange(2, n + 1)
-    weight = ks[None, :] - paths[:, n - ks]
-    contrib = inc * weight
+    # weights k - U_(n-k), exact in float64; the products are made in place
+    contrib = np.subtract(np.arange(2, n + 1, dtype=float), paths[:, n - 2::-1])
+    contrib *= inc
     return contrib[:, m - 1:].sum(axis=1) - contrib[:, big_m - 1:].sum(axis=1)
 
 
@@ -137,7 +218,9 @@ def _eta_count(n: int, paths: np.ndarray, t: np.ndarray, a: float, b: float) -> 
     pts = math.sqrt(n) * t
     mask = (pts >= a) & (pts < b)
     # merge counts last: made before pts, they add one int32 array to the chunk's peak
-    return (_merge_counts(paths) * mask).sum(axis=1).astype(float)
+    x = _merge_counts(paths)
+    x *= mask
+    return x.sum(axis=1).astype(float)
 
 
 def _window_pair(n: int, paths: np.ndarray, t: np.ndarray, window1, window2) -> np.ndarray:
@@ -196,8 +279,7 @@ STATISTICS: dict[str, Statistic] = {
 def _chunk_kernel(statistic: str, n: int, seed: int, stream_id: int,
                   start: int, count: int, params: dict) -> np.ndarray:
     spec = STATISTICS[statistic]
-    w = _uniform_rows(seed, stream_id, start, count, spec.draw.uniforms(n))
-    return spec.reduce(n, *spec.draw.inputs(n, w), **params)
+    return spec.reduce(n, *spec.draw.inputs(n, seed, stream_id, start, count), **params)
 
 
 def _usable_cpus() -> int:
@@ -231,9 +313,13 @@ def simulate(statistic: str, n: int, reps: int, seed: int, *,
                          f"got {sorted(params)}")
     spec.check(n, **params)
     replicate_key(seed, reps - 1, stream_id)  # rejects a bad stream id or too many reps
-    chunks = [(statistic, n, seed, stream_id, start, min(CHUNK, reps - start), params)
-              for start in range(0, reps, CHUNK)]
-    workers = min(threads, len(chunks), _usable_cpus())
+    count = -(-reps // _width(spec.draw, n))  # chunks
+    workers = min(threads, count, _usable_cpus())
+    if workers > 1:  # the same number of chunks per worker, at least two
+        count = min(reps, workers * max(2, -(-count // workers)))
+    size, extra = divmod(reps, count)  # equal chunks: no short one at the end
+    chunks = [(statistic, n, seed, stream_id, i * size + min(i, extra), size + (i < extra), params)
+              for i in range(count)]
     if workers > 1:
         import multiprocessing  # here, so that importing kingman does not pay for it
         from concurrent.futures import ProcessPoolExecutor

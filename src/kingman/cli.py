@@ -172,16 +172,6 @@ def cmd_hist(args) -> int:
     return 0
 
 
-def _default_threads() -> int:
-    env = os.environ.get("KINGMAN_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
-
-
 THREADS_HELP = ("worker processes (default $KINGMAN_THREADS or 1), capped at the "
                 "usable CPUs; the output is byte-identical for any value")
 
@@ -192,12 +182,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="External branch lengths of Kingman's coalescent: "
                     "simulation, exact moments, verification, histograms.")
     sub = parser.add_subparsers(dest="command", required=True)
+    # a string default goes through type=int like the flag: a bad value exits
+    # 2 at parse time, and 0 reaches the same check in batch.simulate
+    threads = os.environ.get("KINGMAN_THREADS") or "1"
 
     def common(p):
         p.add_argument("--n", type=int, default=50, help="sample size (leaves)")
         p.add_argument("--reps", type=int, default=10_000, help="replicates")
         p.add_argument("--seed", type=int, default=0, help="master seed")
-        p.add_argument("--threads", type=int, default=_default_threads(), help=THREADS_HELP)
+        p.add_argument("--threads", type=int, default=threads, help=THREADS_HELP)
         p.add_argument("--statistic", choices=STATISTICS, default="L")
         p.add_argument("--alpha", type=float, default=0.0)
         p.add_argument("--beta", type=float, default=1.0)
@@ -226,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="run acceptance suites")
     p_ver.add_argument("--suite", choices=("exact", "statistical", "all"), default="all")
     p_ver.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
-    p_ver.add_argument("--threads", type=int, default=_default_threads(), help=THREADS_HELP)
+    p_ver.add_argument("--threads", type=int, default=threads, help=THREADS_HELP)
     p_ver.add_argument("--out", default=None)
     p_ver.set_defaults(func=cmd_verify)
 

@@ -114,17 +114,27 @@ def check_variance_identity(seed: int = DEFAULT_SEED, n_max: int = 10_000) -> st
 
 
 def check_martingale_identity(seed: int = DEFAULT_SEED, n_max: int = 100) -> stats.TestReport:
-    """sum_u' p(u'|u) u' == ((n-k-2)/(n-k)) u + 1 for every state."""
+    """sum_u' p(u'|u) u' == ((n-k-2)/(n-k)) u + 1 for every state.
+
+    Both sides are multiplied by (n-k) and D = comb(n-k, 2) and compared as
+    integers; a probability whose denominator does not divide D is a
+    violation.
+    """
     bad = checks = 0
     for n in range(2, n_max + 1):
         for k in range(n - 1):
-            u_values = (0,) if k == 0 else range(1, min(k, n - k) + 1)
+            balls = n - k
+            whole = math.comb(balls, 2)
+            u_values = (0,) if k == 0 else range(1, min(k, balls) + 1)
             for u in u_values:
-                down, stay, up = urn.transition_probabilities(n, k, u)
-                lhs = down * (u - 1) + stay * u + up * (u + 1)
-                rhs = Fraction(n - k - 2, n - k) * u + 1
+                probs = urn.transition_probabilities(n, k, u)
                 checks += 1
-                if lhs != rhs:
+                if any(whole % p.denominator for p in probs):
+                    bad += 1
+                    continue
+                down, stay, up = (p.numerator * (whole // p.denominator) for p in probs)
+                lhs = balls * (down * (u - 1) + stay * u + up * (u + 1))
+                if lhs != whole * ((balls - 2) * u + balls):
                     bad += 1
     return _exact_report("martingale_identity_exact", bad, checks, seed, {"n_max": n_max})
 

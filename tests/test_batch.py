@@ -3,6 +3,7 @@
 import concurrent.futures
 import hashlib
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,11 +29,17 @@ def test_repeatable():
     assert a.tobytes() == b.tobytes()
 
 
+def width(stat, n):
+    """Replicates per chunk that the byte budget gives stat at n, with no pool."""
+    return batch._width(batch.STATISTICS[stat].draw, n)
+
+
 def test_replicate_count_extension():
     # each replicate owns its stream: a longer run extends a shorter one
-    short = batch.simulate("L", 20, batch.CHUNK + 3, SEED)
-    long = batch.simulate("L", 20, 2 * batch.CHUNK, SEED)
-    assert short.tobytes() == long[: batch.CHUNK + 3].tobytes()
+    w = width("L", 20)
+    short = batch.simulate("L", 20, w + 3, SEED)
+    long = batch.simulate("L", 20, 2 * w, SEED)
+    assert short.tobytes() == long[: w + 3].tobytes()
 
 
 def test_stream_ids_are_disjoint():
@@ -76,12 +83,66 @@ def test_outputs_match_frozen_digests(threads):
 
 def test_thread_count_invariance():
     assert FROZEN_DIGESTS.keys() == batch.STATISTICS.keys()
-    reps = 3 * batch.CHUNK + 7  # four chunks, the last one short
     for stat, (params, _) in FROZEN_DIGESTS.items():
+        reps = 3 * width(stat, 40) + 7  # four chunks of unequal sizes
         a = batch.simulate(stat, 40, reps, SEED, threads=1, **params)
         for threads in (2, 8):
             b = batch.simulate(stat, 40, reps, SEED, threads=threads, **params)
             assert a.tobytes() == b.tobytes(), (stat, threads)
+
+
+def invariance_params(stat, n):
+    params = dict(FROZEN_DIGESTS[stat][0])
+    if stat == "urn_marginal":
+        params["k"] = n // 3
+    elif stat == "urn_snapshot":
+        params["steps"] = [1, n // 2, n]
+    return params
+
+
+def test_width_and_block_invariance(monkeypatch):
+    # With BLOCK = 12: n-1 = 5, 6, 7 and 13 cover n-1 = 1, 2, 3 (mod 4);
+    # 2(n-1) = 12 fills one block at n = 7 and straddles two at n = 8; n-1 > 12
+    # from n = 14.  The default BLOCK draws each replicate in one piece here.
+    reps = 23
+    variants = [("MAX_WIDTH", 1), ("MAX_WIDTH", 7), ("MAX_WIDTH", 16),  # 2 chunks: 12 and 11
+                ("BLOCK", 4), ("BLOCK", 12)]
+    for n in (6, 7, 8, 14, 40):
+        for stat in batch.STATISTICS:
+            params = invariance_params(stat, n)
+            expect = batch.simulate(stat, n, reps, SEED, **params).tobytes()
+            for name, value in variants:
+                with monkeypatch.context() as m:
+                    m.setattr(batch, name, value)
+                    got = batch.simulate(stat, n, reps, SEED, **params)
+                assert got.tobytes() == expect, (stat, n, name, value)
+
+
+def test_chunks_stay_within_the_byte_budget(monkeypatch):
+    # The traced peak of one chunk of the full width stays within the budget
+    # plus a few length-n vectors that a chunk shares among its replicates
+    # (the level and rate arrays), so each Draw kind's byte count is honest.
+    n, budget = 5000, 4 << 20
+    slack = 8 * 8 * n + (64 << 10)
+    monkeypatch.setattr(batch, "BUDGET", budget)
+    tracemalloc.start()
+    try:
+        for stat, spec in batch.STATISTICS.items():
+            reps = batch._width(spec.draw, n)
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            batch.simulate(stat, n, reps, SEED, **invariance_params(stat, n))
+            peak = tracemalloc.get_traced_memory()[1] - before
+            assert peak <= budget + slack, (stat, peak)
+    finally:
+        tracemalloc.stop()
+
+
+def test_width_at_a_million_fits_the_budget():
+    n = 10 ** 6
+    for kind in (batch.RHO, batch.RHO_TIMES, batch.URN, batch.URN_TIMES):
+        w = batch._width(kind, n)
+        assert w >= 1 and w * kind.bytes(n) <= batch.BUDGET
 
 
 def test_pool_size_is_capped_by_chunks_and_cpus(monkeypatch):
@@ -94,20 +155,21 @@ def test_pool_size_is_capped_by_chunks_and_cpus(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
     expected = [2] if len(os.sched_getaffinity(0)) >= 2 else []
-    batch.simulate("L", 20, batch.CHUNK + 1, SEED, threads=8)  # two chunks
+    w = width("L", 20)
+    batch.simulate("L", 20, w + 1, SEED, threads=8)  # two chunks by the budget
     assert pools == expected
-    batch.simulate("L", 20, batch.CHUNK + 1, SEED, threads=1)
-    batch.simulate("L", 20, batch.CHUNK, SEED, threads=8)  # one chunk
+    batch.simulate("L", 20, w + 1, SEED, threads=1)
+    batch.simulate("L", 20, w, SEED, threads=8)  # one chunk
     assert pools == expected
 
 
 def test_worker_exception_reaches_caller(monkeypatch):
-    def broken(n, w):
+    def broken(n, seed, stream_id, start, count, times=False):
         raise RuntimeError("urn step failed")
 
     monkeypatch.setattr(batch, "_urn_paths", broken)  # the forked workers inherit it
     with pytest.raises(RuntimeError, match="urn step failed"):
-        batch.simulate("tau", 20, 3 * batch.CHUNK, SEED, threads=2)
+        batch.simulate("tau", 20, 3 * width("tau", 20), SEED, threads=2)
 
 
 # (seed, stream_id, start, count): seeds outside 0..2^64-1 are masked, and the
@@ -116,15 +178,22 @@ EDGE_KEYS = [(SEED, 0, 0, 3), (-5, 3, 7, 4), (2 ** 70, 1, 100, 2),
              (SEED, 2 ** 16 - 1, 9, 2), (SEED, 5, 2 ** 48 - 512, 512)]
 
 
+# offsets within the first Philox blocks and around a block of the engine
+OFFSETS = (0, 1, 2, 3, 4, 5, batch.BLOCK - 1, batch.BLOCK, batch.BLOCK + 1)
+
+
 @pytest.mark.parametrize("draws", [1, 2, 3, 98, 1000])
 def test_uniform_rows_match_replicate_streams(draws):
-    # odd draw counts leave the Philox buffer part-used between replicates
+    # odd draw counts leave the Philox buffer part-used between replicates,
+    # and an offset that is not a multiple of 4 starts inside a Philox block
     for seed, stream_id, start, count in EDGE_KEYS:
-        rows = batch._uniform_rows(seed, stream_id, start, count, draws)
-        assert rows.shape == (count, draws)
-        for i in range(count):
-            expect = replicate_stream(seed, start + i, stream_id).random(draws)
-            assert rows[i].tobytes() == expect.tobytes(), (seed, stream_id, start + i)
+        for offset in OFFSETS:
+            rows = batch._uniform_rows(seed, stream_id, start, count, draws, offset)
+            assert rows.shape == (count, draws)
+            for i in range(count):
+                stream = replicate_stream(seed, start + i, stream_id)
+                expect = stream.random(offset + draws)[offset:]
+                assert rows[i].tobytes() == expect.tobytes(), (seed, stream_id, start + i, offset)
 
 
 def test_uniform_rows_reject_replicates_past_the_key_range():

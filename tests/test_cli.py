@@ -140,12 +140,18 @@ def test_io_error_exit_code(tmp_path):
 
 
 def test_threads_env_fallback(monkeypatch):
+    sim = ["simulate", "--statistic", "L", "--n", "10", "--reps", "5"]
     monkeypatch.setenv("KINGMAN_THREADS", "6")
-    assert cli._default_threads() == 6
-    monkeypatch.setenv("KINGMAN_THREADS", "junk")
-    assert cli._default_threads() == 1
+    assert cli.build_parser().parse_args(sim).threads == 6
+    assert cli.build_parser().parse_args(["verify"]).threads == 6
+    monkeypatch.setenv("KINGMAN_THREADS", "junk")  # refused like --threads junk
+    with pytest.raises(SystemExit) as exc:
+        run_cli(sim)
+    assert exc.value.code == 2
+    monkeypatch.setenv("KINGMAN_THREADS", "0")  # refused like --threads 0
+    assert run_cli(sim) == 2
     monkeypatch.delenv("KINGMAN_THREADS")
-    assert cli._default_threads() == 1
+    assert cli.build_parser().parse_args(sim).threads == 1
 
 
 def test_simulate_repeat_identical(tmp_path):
