@@ -289,6 +289,12 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def check_threads(threads) -> None:
+    """Refuse a worker count that is not an integer >= 1."""
+    if not isinstance(threads, (int, np.integer)) or threads < 1:
+        raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
+
+
 def simulate(statistic: str, n: int, reps: int, seed: int, *,
              threads: int = 1, stream_id: int = 0, **params) -> np.ndarray:
     """Simulate one value (or row) per replicate.
@@ -299,8 +305,7 @@ def simulate(statistic: str, n: int, reps: int, seed: int, *,
     the number of worker processes, capped at the chunk count and at the
     CPUs this process may use; it never changes the output.
     """
-    if not isinstance(threads, (int, np.integer)) or threads < 1:
-        raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
+    check_threads(threads)
     if n < 2:
         raise ValueError("sample size must be at least 2")
     if reps < 1:

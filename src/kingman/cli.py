@@ -183,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "simulation, exact moments, verification, histograms.")
     sub = parser.add_subparsers(dest="command", required=True)
     # a string default goes through type=int like the flag: a bad value exits
-    # 2 at parse time, and 0 reaches the same check in batch.simulate
+    # 2 at parse time, and 0 reaches the same check as --threads 0
     threads = os.environ.get("KINGMAN_THREADS") or "1"
 
     def common(p):
@@ -201,7 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="simulate a statistic to CSV")
     common(p_sim)
-    p_sim.add_argument("--format", choices=("csv",), default="csv")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_mom = sub.add_parser("moments", help="print exact moments")

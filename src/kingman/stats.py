@@ -1,5 +1,7 @@
-"""Goodness-of-fit machinery: samples in, pass/fail reports out.
+"""Goodness-of-fit machinery: 1-D arrays of replicate values in, pass/fail reports out.
 
+Each gate takes the sample as an array (one value per replicate, so
+reps = len(values)) and the seed that drew it, which the report records.
 All tests are deterministic given their sample (which is deterministic
 given a seed), and every report serializes to one JSON object.
 """
@@ -17,23 +19,6 @@ from scipy.special import gammaincc, kolmogorov
 P_FLOOR = 0.001
 MEAN_Z_MAX = 4.0
 MIN_EXPECTED_CELL = 5.0
-
-
-@dataclass(frozen=True)
-class EmpiricalSample:
-    """A replicated simulation result with its provenance."""
-
-    values: np.ndarray
-    n: int
-    reps: int
-    seed: int
-    statistic_name: str
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if self.reps < 1 or len(values) != self.reps:
-            raise ValueError("reps must be positive and match the value count")
-        object.__setattr__(self, "values", values)
 
 
 @dataclass(frozen=True)
@@ -71,42 +56,43 @@ def ks_statistic(values: np.ndarray, cdf: Callable[[float], float]) -> float:
     return float(max(np.max(f - (i - 1) / m), np.max(i / m - f)))
 
 
-def ks_test(sample: EmpiricalSample, cdf: Callable[[float], float], *,
-            name: str, p_floor: float = P_FLOOR, params: dict | None = None) -> TestReport:
-    """KS test with an asymptotic p-value; passes when p >= p_floor."""
-    if sample.reps < 100:
+def ks_test(values: np.ndarray, cdf: Callable[[float], float], *,
+            name: str, seed: int, params: dict | None = None) -> TestReport:
+    """KS test with an asymptotic p-value; passes when p >= P_FLOOR."""
+    reps = len(values)
+    if reps < 100:
         raise ValueError("KS test requires at least 100 replicates")
-    d = ks_statistic(sample.values, cdf)
-    p = float(kolmogorov(math.sqrt(sample.reps) * d))
-    return TestReport(name, dict(params or {}), d, p, p_floor, p >= p_floor,
-                      sample.seed, sample.reps)
+    d = ks_statistic(values, cdf)
+    p = float(kolmogorov(math.sqrt(reps) * d))
+    return TestReport(name, dict(params or {}), d, p, P_FLOOR, p >= P_FLOOR, seed, reps)
 
 
-def ks_distance_test(sample: EmpiricalSample, cdf: Callable[[float], float], *,
-                     name: str, d_max: float, params: dict | None = None) -> TestReport:
+def ks_distance_test(values: np.ndarray, cdf: Callable[[float], float], *,
+                     name: str, seed: int, d_max: float,
+                     params: dict | None = None) -> TestReport:
     """KS check against a limit law at a fixed distance tolerance."""
-    d = ks_statistic(sample.values, cdf)
-    return TestReport(name, dict(params or {}), d, d, d_max, d <= d_max,
-                      sample.seed, sample.reps)
+    d = ks_statistic(values, cdf)
+    return TestReport(name, dict(params or {}), d, d, d_max, d <= d_max, seed, len(values))
 
 
-def chi_square_gof(sample: EmpiricalSample, expected: Mapping, *,
-                   name: str, p_floor: float = P_FLOOR, params: dict | None = None) -> TestReport:
+def chi_square_gof(values: np.ndarray, expected: Mapping, *,
+                   name: str, seed: int, params: dict | None = None) -> TestReport:
     """Pearson chi-square of integer outcomes against an exact law.
 
     ``expected`` maps integer outcomes to probabilities (Fractions or
     floats) summing to 1.  Cells are merged greedily from the high tail,
     then from the low tail, until every cell's expected mass is at least 5.
     """
-    values = sample.values.astype(int)
-    if np.any(values != sample.values):
+    floats = np.asarray(values, dtype=float)
+    values = floats.astype(int)
+    if np.any(values != floats):
         raise ValueError("chi-square sample must be integer-valued")
     outcomes = sorted(expected)
     support = set(outcomes)
     if any(int(v) not in support for v in values):
         bad = next(int(v) for v in values if int(v) not in support)
         raise ValueError(f"observed outcome {bad} has zero expected probability")
-    reps = sample.reps
+    reps = len(values)
     obs = [int(np.count_nonzero(values == o)) for o in outcomes]
     exp = [float(expected[o]) * reps for o in outcomes]
 
@@ -126,52 +112,52 @@ def chi_square_gof(sample: EmpiricalSample, expected: Mapping, *,
     p = float(gammaincc(dof / 2.0, stat / 2.0))
     all_params = dict(params or {})
     all_params["cells"] = len(obs)
-    return TestReport(name, all_params, stat, p, p_floor, p >= p_floor,
-                      sample.seed, reps)
+    return TestReport(name, all_params, stat, p, P_FLOOR, p >= P_FLOOR, seed, reps)
 
 
-def mean_test(sample: EmpiricalSample, exact_mean, exact_var=None, *,
-              name: str, params: dict | None = None) -> TestReport:
+def mean_test(values: np.ndarray, exact_mean, exact_var=None, *,
+              name: str, seed: int, params: dict | None = None) -> TestReport:
     """Four-standard-error gate on the sample mean.
 
     The standard error comes from the exact variance when provided, else
     from the sample variance.
     """
-    if sample.reps < 1000:
+    reps = len(values)
+    if reps < 1000:
         raise ValueError("mean test requires at least 1000 replicates")
-    mu = float(np.mean(sample.values))
-    var = float(exact_var) if exact_var is not None else float(np.var(sample.values, ddof=1))
-    se = math.sqrt(var / sample.reps)
+    mu = float(np.mean(values))
+    var = float(exact_var) if exact_var is not None else float(np.var(values, ddof=1))
+    se = math.sqrt(var / reps)
     if se == 0.0:
         z = 0.0 if mu == float(exact_mean) else math.inf
     else:
         z = (mu - float(exact_mean)) / se
     return TestReport(name, dict(params or {}), mu, abs(z), MEAN_Z_MAX,
-                      abs(z) <= MEAN_Z_MAX, sample.seed, sample.reps)
+                      abs(z) <= MEAN_Z_MAX, seed, reps)
 
 
-def variance_test(sample: EmpiricalSample, exact_var, rel_tol: float, *,
-                  name: str, params: dict | None = None) -> TestReport:
+def variance_test(values: np.ndarray, exact_var, rel_tol: float, *,
+                  name: str, seed: int, params: dict | None = None) -> TestReport:
     """Relative-tolerance gate on the sample variance."""
-    if sample.reps < 10_000:
+    if len(values) < 10_000:
         raise ValueError("variance test requires at least 10^4 replicates")
-    v = float(np.var(sample.values, ddof=1))
+    v = float(np.var(values, ddof=1))
     target = float(exact_var)
     rel = abs(v - target) / target
     return TestReport(name, dict(params or {}), v, rel, rel_tol, rel <= rel_tol,
-                      sample.seed, sample.reps)
+                      seed, len(values))
 
 
-def independence_check(sample_a: EmpiricalSample, sample_b: EmpiricalSample, *,
-                       name: str, params: dict | None = None) -> TestReport:
+def independence_check(values_a: np.ndarray, values_b: np.ndarray, *,
+                       name: str, seed: int, params: dict | None = None) -> TestReport:
     """Near-zero-correlation gate for paired samples."""
-    if sample_a.reps != sample_b.reps:
-        raise ValueError("paired samples must have equal length")
-    reps = sample_a.reps
-    corr = float(np.corrcoef(sample_a.values, sample_b.values)[0, 1])
+    reps = len(values_a)
+    if reps != len(values_b) or reps == 0:
+        raise ValueError("paired samples must be nonempty and of equal length")
+    corr = float(np.corrcoef(values_a, values_b)[0, 1])
     limit = 4.0 / math.sqrt(reps) + 0.02
     return TestReport(name, dict(params or {}), corr, abs(corr), limit,
-                      abs(corr) <= limit, sample_a.seed, reps)
+                      abs(corr) <= limit, seed, reps)
 
 
 def normal_cdf(x: float) -> float:

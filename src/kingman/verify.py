@@ -2,7 +2,9 @@
 
 The exact suite proves finite-n identities outright (no randomness).  The
 statistical suite runs seeded Monte Carlo at desk scale with pinned
-thresholds; it is deterministic for a fixed seed and thread-independent.
+thresholds: each criterion draws its sample as an array from
+batch.simulate and hands it, or a transform of it, straight to a gate in
+stats.  It is deterministic for a fixed seed and thread-independent.
 """
 
 from __future__ import annotations
@@ -64,10 +66,10 @@ def check_chain_moments(seed: int = DEFAULT_SEED) -> stats.TestReport:
     return _exact_report("chain_moments_exact", bad, checks, seed, {"n_max": 12})
 
 
-def check_hypergeometric(seed: int = DEFAULT_SEED, n_max: int = 50) -> stats.TestReport:
+def check_hypergeometric(seed: int = DEFAULT_SEED) -> stats.TestReport:
     """Forward-DP marginals equal the shifted hypergeometric for n <= 50."""
     bad = checks = 0
-    for n in range(2, n_max + 1):
+    for n in range(2, 51):
         dist = {0: Fraction(1)}
         for k in range(1, n):
             dist = urn.step_law(n, k - 1, dist)
@@ -77,7 +79,7 @@ def check_hypergeometric(seed: int = DEFAULT_SEED, n_max: int = 50) -> stats.Tes
                     bad += 1
             if any(u < 1 or u > min(k, n - k) for u in dist):
                 bad += 1
-    return _exact_report("hypergeometric_marginal_exact", bad, checks, seed, {"n_max": n_max})
+    return _exact_report("hypergeometric_marginal_exact", bad, checks, seed, {"n_max": 50})
 
 
 def _chain_law_report(name: str, enumerated_law, n_max: int, seed: int) -> stats.TestReport:
@@ -104,24 +106,24 @@ def check_box_scheme(seed: int = DEFAULT_SEED) -> stats.TestReport:
                              urn.MAX_BOX_ENUM_N, seed)
 
 
-def check_variance_identity(seed: int = DEFAULT_SEED, n_max: int = 10_000) -> stats.TestReport:
-    """Truncated-length variance at m=1 recovers the total-length variance."""
+def check_variance_identity(seed: int = DEFAULT_SEED) -> stats.TestReport:
+    """Truncated-length variance at m=1 recovers the total-length variance, n <= 10^4."""
     bad = 0
-    for n in range(3, n_max + 1):
+    for n in range(3, 10_001):
         if moments.var_hat(n, 1) != moments.fu_li_var(n):
             bad += 1
-    return _exact_report("variance_identity_exact", bad, n_max - 2, seed, {"n_max": n_max})
+    return _exact_report("variance_identity_exact", bad, 9_998, seed, {"n_max": 10_000})
 
 
-def check_martingale_identity(seed: int = DEFAULT_SEED, n_max: int = 100) -> stats.TestReport:
-    """sum_u' p(u'|u) u' == ((n-k-2)/(n-k)) u + 1 for every state.
+def check_martingale_identity(seed: int = DEFAULT_SEED) -> stats.TestReport:
+    """sum_u' p(u'|u) u' == ((n-k-2)/(n-k)) u + 1 for every state, n <= 100.
 
     Both sides are multiplied by (n-k) and D = comb(n-k, 2) and compared as
     integers; a probability whose denominator does not divide D is a
     violation.
     """
     bad = checks = 0
-    for n in range(2, n_max + 1):
+    for n in range(2, 101):
         for k in range(n - 1):
             balls = n - k
             whole = math.comb(balls, 2)
@@ -136,7 +138,7 @@ def check_martingale_identity(seed: int = DEFAULT_SEED, n_max: int = 100) -> sta
                 lhs = balls * (down * (u - 1) + stay * u + up * (u + 1))
                 if lhs != whole * ((balls - 2) * u + balls):
                     bad += 1
-    return _exact_report("martingale_identity_exact", bad, checks, seed, {"n_max": n_max})
+    return _exact_report("martingale_identity_exact", bad, checks, seed, {"n_max": 100})
 
 
 def check_tau_tail(seed: int = DEFAULT_SEED) -> stats.TestReport:
@@ -168,22 +170,15 @@ def exact_suite(seed: int = DEFAULT_SEED) -> list[stats.TestReport]:
 
 # ------------------------------------------------------- statistical suite
 
-def _sample(statistic: str, n: int, reps: int, seed: int, stream_id: int,
-            threads: int, **params) -> stats.EmpiricalSample:
-    values = batch.simulate(statistic, n, reps, seed, threads=threads,
-                            stream_id=stream_id, **params)
-    return stats.EmpiricalSample(values, n, reps, seed, statistic)
-
-
-def _poisson_support(mean: float, top: int = 40) -> dict[int, float]:
-    probs = {j: math.exp(-mean) * mean ** j / math.factorial(j) for j in range(top)}
-    probs[top] = max(0.0, 1.0 - sum(probs.values()))
+def _poisson_support(mean: float) -> dict[int, float]:
+    """Poisson(mean) on 0..39, with the tail mass from 40 on lumped at 40."""
+    probs = {j: math.exp(-mean) * mean ** j / math.factorial(j) for j in range(40)}
+    probs[40] = max(0.0, 1.0 - sum(probs.values()))
     return probs
 
 
 def gp_check(n: int, grid: list[tuple[float, float]], reps: int, seed: int, *,
-             threads: int = 1, stream_id: int = 0,
-             name: str = "gp_covariance") -> stats.TestReport:
+             threads: int = 1, stream_id: int = 0) -> stats.TestReport:
     """Covariance check of the centered, scaled chain against s^2 (1-t)^2.
 
     Simulates W(t) = (U_(floor(nt)) - n t(1-t)) / sqrt(n) and requires every
@@ -214,13 +209,12 @@ def gp_check(n: int, grid: list[tuple[float, float]], reps: int, seed: int, *,
         se = float(np.std(prod, ddof=1)) / math.sqrt(reps)
         dev = abs(emp - moments.gp_cov(s, t)) - (0.01 + 4.0 * se)
         worst = max(worst, dev)
-    return stats.TestReport(name, {"n": n, "grid": [list(p) for p in grid]},
+    return stats.TestReport("gp_covariance", {"n": n, "grid": [list(p) for p in grid]},
                             worst, worst, 0.0, worst <= 0.0, seed, reps)
 
 
 def theorem4_bound_check(n: int, beta: float, reps: int, seed: int, *,
-                         threads: int = 1, stream_id: int = 0,
-                         name: str = "vanishing_window_bound") -> stats.TestReport:
+                         threads: int = 1, stream_id: int = 0) -> stats.TestReport:
     """Check P(short-window length > 0) against its exact finite-n bound.
 
     The event {window length > 0} equals {V_m < m} with m = ceil(n**beta);
@@ -238,80 +232,81 @@ def theorem4_bound_check(n: int, beta: float, reps: int, seed: int, *,
         emp = float(np.mean(v_m < m))
         allowance = 4.0 * math.sqrt(bound * (1.0 - bound) / reps)
     limit = bound + allowance
-    return stats.TestReport(name, {"n": n, "beta": beta, "m": m, "bound": bound},
+    return stats.TestReport("vanishing_window_bound",
+                            {"n": n, "beta": beta, "m": m, "bound": bound},
                             emp, emp, limit, emp <= limit, seed, reps)
 
 
 def statistical_suite(seed: int = DEFAULT_SEED, threads: int = 1) -> list[stats.TestReport]:
+    """Seeded Monte Carlo gates; each criterion draws on its own stream id."""
+
+    def draw(statistic: str, n: int, reps: int, stream_id: int, **params) -> np.ndarray:
+        return batch.simulate(statistic, n, reps, seed, threads=threads,
+                              stream_id=stream_id, **params)
+
     reports: list[stats.TestReport] = []
 
     # total external length at n=50: mean exactly 2, Fu-Li variance
     n, reps = 50, 100_000
-    total = _sample("L", n, reps, seed, _S_TOTAL, threads)
+    total = draw("L", n, reps, _S_TOTAL)
     fl_var = moments.fu_li_var(n)
     reports.append(stats.mean_test(total, 2, fl_var, name="total_length_mean",
-                                   params={"n": n}))
-    reports.append(stats.variance_test(total, fl_var, 0.05,
-                                       name="total_length_variance", params={"n": n}))
+                                   seed=seed, params={"n": n}))
+    reports.append(stats.variance_test(total, fl_var, 0.05, name="total_length_variance",
+                                       seed=seed, params={"n": n}))
 
     # normality of the truncated length at n=50, alpha=1/2
     n, reps, m = 50, 10_000, 7
-    hat = _sample("L_hat", n, reps, seed, _S_HAT, threads, alpha=0.5, beta=1.0)
+    hat = draw("L_hat", n, reps, _S_HAT, alpha=0.5, beta=1.0)
     mu, sig = float(moments.e_hat(n, m)), math.sqrt(float(moments.var_hat(n, m)))
-    standardized = stats.EmpiricalSample((hat.values - mu) / sig, n, reps, seed,
-                                         "standardized_truncated_length")
-    reports.append(stats.ks_test(standardized, stats.normal_cdf,
-                                 name="truncated_length_normality",
+    reports.append(stats.ks_test((hat - mu) / sig, stats.normal_cdf,
+                                 name="truncated_length_normality", seed=seed,
                                  params={"n": n, "alpha": 0.5}))
 
     # Poisson counts of scaled branch lengths on [1, 2)
     n, reps = 10_000, 10_000
-    eta = _sample("eta_count", n, reps, seed, _S_ETA, threads, a=1.0, b=2.0)
+    eta = draw("eta_count", n, reps, _S_ETA, a=1.0, b=2.0)
     lam = moments.poisson_mean(1.0, 2.0)
     reports.append(stats.chi_square_gof(eta, _poisson_support(lam),
-                                        name="scaled_point_counts_poisson",
+                                        name="scaled_point_counts_poisson", seed=seed,
                                         params={"n": n, "a": 1.0, "b": 2.0, "mean": lam}))
     reports.append(stats.mean_test(eta, lam, lam, name="scaled_point_counts_mean",
-                                   params={"n": n, "a": 1.0, "b": 2.0}))
+                                   seed=seed, params={"n": n, "a": 1.0, "b": 2.0}))
 
     # short windows are empty: exact finite-n bound
     reports.append(theorem4_bound_check(10_000, 0.25, 10_000, seed,
-                                              threads=threads, stream_id=_S_T4))
+                                        threads=threads, stream_id=_S_T4))
 
     # tau / sqrt(n) against the exp(-t^2) tail
     n, reps = 10_000, 10_000
-    tau_sample = _sample("tau", n, reps, seed, _S_TAU, threads)
-    scaled = stats.EmpiricalSample(tau_sample.values / math.sqrt(n), n, reps, seed,
-                                   "tau_scaled")
+    tau = draw("tau", n, reps, _S_TAU)
     reports.append(stats.ks_distance_test(
-        scaled, lambda t: 1.0 - moments.tau_limit_tail(max(t, 0.0)),
-        name="tau_limit_ks", d_max=0.03, params={"n": n}))
+        tau / math.sqrt(n), lambda t: 1.0 - moments.tau_limit_tail(max(t, 0.0)),
+        name="tau_limit_ks", seed=seed, d_max=0.03, params={"n": n}))
 
     # single random branch length: n R_n against the (x+2)^-3 law
     n, reps = 1_000, 100_000
-    r_sample = _sample("R", n, reps, seed, _S_R, threads)
-    scaled_r = stats.EmpiricalSample(n * r_sample.values, n, reps, seed, "n_R_n")
-    reports.append(stats.ks_distance_test(scaled_r, moments.r_limit_cdf,
-                                          name="single_branch_limit_ks",
+    r = draw("R", n, reps, _S_R)
+    reports.append(stats.ks_distance_test(n * r, moments.r_limit_cdf,
+                                          name="single_branch_limit_ks", seed=seed,
                                           d_max=0.05, params={"n": n}))
 
     # Gaussian-process covariance of the centered chain
     grid = [(s, t) for s in (0.25, 0.5, 0.75) for t in (0.25, 0.5, 0.75) if s <= t]
     reports.append(gp_check(2_000, grid, 10_000, seed,
-                                  threads=threads, stream_id=_S_GP))
+                            threads=threads, stream_id=_S_GP))
 
     # asymptotic independence of adjacent windows
     n, reps = 200, 10_000
-    pair = batch.simulate("window_pair", n, reps, seed, threads=threads,
-                          stream_id=_S_IND, window1=(0.5, 0.75), window2=(0.75, 1.0))
-    sa = stats.EmpiricalSample(pair[:, 0], n, reps, seed, "window_0.5_0.75")
-    sb = stats.EmpiricalSample(pair[:, 1], n, reps, seed, "window_0.75_1.0")
-    reports.append(stats.independence_check(sa, sb, name="window_independence",
+    pair = draw("window_pair", n, reps, _S_IND, window1=(0.5, 0.75), window2=(0.75, 1.0))
+    reports.append(stats.independence_check(pair[:, 0], pair[:, 1],
+                                            name="window_independence", seed=seed,
                                             params={"n": n}))
     return reports
 
 
 def run_suite(name: str, seed: int = DEFAULT_SEED, threads: int = 1) -> list[stats.TestReport]:
+    batch.check_threads(threads)  # before the exact suite, which never simulates
     if name == "exact":
         return exact_suite(seed)
     if name == "statistical":

@@ -11,6 +11,7 @@ measurably different.  Those tests print the limit gate's verdict without
 asserting it and assert the same samples against exact finite-n values.
 """
 
+import hashlib
 import math
 
 import pytest
@@ -19,6 +20,9 @@ from kingman import batch, cli, moments, stats, verify
 from kingman.indexing import floor_pow
 
 SEED = 7
+# SHA-256 of the `kingman verify --suite all --seed 7` report; any change to a
+# sampler, a gate or the report format moves it
+REPORT_SHA256 = "a32cac8ac29502e923f5c816b7d557a736312a43c2f1a0bfb45ecb2ae65c2366"
 
 
 @pytest.fixture(scope="module")
@@ -43,14 +47,6 @@ def stat_reports(drawn):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(batch, "simulate", recording)
         return {r.name: r for r in verify.statistical_suite(SEED, threads=2)}
-
-
-@pytest.fixture(scope="module")
-def eta_sample(stat_reports, drawn):
-    """The counts behind criterion 12, as the gate drew them."""
-    gate = stat_reports["scaled_point_counts_mean"]
-    return stats.EmpiricalSample(drawn[verify._S_ETA], gate.params["n"], gate.reps,
-                                 gate.seed, "eta_count")
 
 
 def verdict_line(number, label, report):
@@ -130,26 +126,27 @@ def test_criterion_11_truncated_length_normality(stat_reports, drawn):
     # sample is held to its exact finite-n mean and variance instead.
     n, alpha = gate.params["n"], gate.params["alpha"]
     m = floor_pow(n, alpha)
-    hat = stats.EmpiricalSample(drawn[verify._S_HAT], n, gate.reps, gate.seed, "L_hat")
+    hat = drawn[verify._S_HAT]
     mu, var = moments.e_hat(n, m), moments.var_hat(n, m)
-    standardized = (hat.values - float(mu)) / math.sqrt(float(var))
+    standardized = (hat - float(mu)) / math.sqrt(float(var))
     assert stats.ks_statistic(standardized, stats.normal_cdf) == gate.statistic
     check(11, "truncated length mean within 4 exact SE of e_hat, n=50 m=7",
-          stats.mean_test(hat, mu, var, name="truncated_length_mean", params={"n": n, "m": m}))
+          stats.mean_test(hat, mu, var, name="truncated_length_mean", seed=gate.seed,
+                          params={"n": n, "m": m}))
     check(11, "truncated length variance within 5% of var_hat, n=50 m=7",
           stats.variance_test(hat, var, 0.05, name="truncated_length_variance",
-                              params={"n": n, "m": m}))
+                              seed=gate.seed, params={"n": n, "m": m}))
 
 
-def test_criterion_12_scaled_point_counts(stat_reports, eta_sample):
+def test_criterion_12_scaled_point_counts(stat_reports, drawn):
     label = "counts on [1,2) vs Poisson(3)"
     show_limit(12, f"{label}: chi-square gate", stat_reports["scaled_point_counts_poisson"])
     gate = stat_reports["scaled_point_counts_mean"]
     show_limit(12, f"{label}: mean gate", gate)
     n, a, b = gate.params["n"], gate.params["a"], gate.params["b"]
     exact = moments.e_eta_count(n, a, b)
-    report = stats.mean_test(eta_sample, exact, name="scaled_point_counts_mean_exact",
-                             params={"n": n, "a": a, "b": b})
+    report = stats.mean_test(drawn[verify._S_ETA], exact, name="scaled_point_counts_mean_exact",
+                             seed=gate.seed, params={"n": n, "a": a, "b": b})
     assert report.statistic == gate.statistic
     check(12, f"mean count on [1,2) within 4 SE of exact finite-n {exact:.6g}, n=10^4",
           report)
@@ -208,7 +205,8 @@ def test_criterion_18_cli_determinism(tmp_path):
         assert code in (0, 1)
         outs.append(path.read_bytes())
     same = outs[0] == outs[1] == outs[2]
-    line = f"criterion 18 byte-identical verify reports across runs and threads: " \
-           f"{'PASS' if same else 'FAIL'}"
+    pinned = hashlib.sha256(outs[0]).hexdigest() == REPORT_SHA256
+    line = f"criterion 18 byte-identical verify reports across runs and threads, " \
+           f"equal to the pinned digest: {'PASS' if same and pinned else 'FAIL'}"
     print(line)
-    assert same, line
+    assert same and pinned, line

@@ -106,6 +106,14 @@ def test_verify_exact_suite(tmp_path):
         assert obj["pass"] is True and obj["seed"] == 7
 
 
+def test_verify_rejects_zero_threads(monkeypatch, capsys):
+    # refused before any check runs, although the exact suite never simulates
+    assert run_cli(["verify", "--suite", "exact", "--threads", "0"]) == 2
+    monkeypatch.setenv("KINGMAN_THREADS", "0")
+    assert run_cli(["verify", "--suite", "exact"]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_hist_csv(tmp_path):
     out = tmp_path / "h.csv"
     assert run_cli(["hist", "--statistic", "L", "--n", "20", "--reps", "500",
