@@ -5,12 +5,20 @@ statistic simulated here is bitwise reproducible for a given (seed, n,
 reps), whatever the chunk width, the block size or the thread count.  A
 chunk re-keys one Philox per replicate: the bits of rng.replicate_stream.
 
-A chunk's width is set by a byte budget: each Draw kind states the bytes
+The urn chain is stepped a block of BLOCK draws at a time: a block's
+uniforms are taken at their offset in every replicate's stream (a Philox
+stream is addressed by its counter), transposed, and stepped in place on
+contiguous rows.  Each stepped (step, replicate) block is handed to the
+statistic's reducer, and the chain stops after the last step the
+statistic reads: tau counts hits on a line, urn_snapshot and urn_marginal
+copy rows, and eta_count keeps the chain only on the band of levels whose
+scaled times can fall in its interval.  Only the L family (L, L_window,
+L_hat, window_pair), whose float sums run over whole rows, copies the
+blocks back into whole paths.
+
+A chunk's width is set by a byte budget: each statistic states the bytes
 one replicate holds, reduction included, and a chunk takes as many
-replicates as the budget holds, at most MAX_WIDTH.  The urn chain is
-stepped a block of BLOCK draws at a time: a block's uniforms are taken at
-their offset in every replicate's stream (a Philox stream is addressed by
-its counter), transposed, and stepped in place on contiguous rows.
+replicates as the budget holds, at most MAX_WIDTH.
 
 With threads > 1, chunks run on forked worker processes, at most one per
 usable CPU, and each worker is given the same number of chunks, at least
@@ -22,9 +30,11 @@ concatenated in chunk order.
 The per-replicate draw order matches the scalar samplers in urn.py and
 coalescent.py: first the n-1 urn-transition uniforms, then (if the
 statistic needs times) the n-1 waiting-time uniforms in descending k.
+eta_count reads its times before it steps the chain, each block from its
+offset.
 
 Every statistic is one entry of STATISTICS: its keywords and their check,
-what each replicate draws, and the reduction of those draws to its value.
+and how a chunk draws and reduces its replicates, with the bytes that takes.
 """
 
 from __future__ import annotations
@@ -67,33 +77,34 @@ def _uniform_rows(seed: int, stream_id: int, start: int, count: int, draws: int,
     return out
 
 
-def _urn_paths(n: int, seed: int, stream_id: int, start: int, count: int,
-               times: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
-    """Draw and step the urn chain of replicates start..start+count-1.
+def _urn_paths(n: int, chunk: tuple, horizon: int, take: Callable[[int, np.ndarray], None],
+               times: np.ndarray | None = None) -> None:
+    """Draw and step U_1..U_horizon of a chunk's replicates, handing each block to take.
 
-    Returns int32 trajectories of shape (count, n+1) and, with times, the
-    n-1 waiting-time uniforms that follow the urn uniforms in each stream,
-    shape (count, n-1); else None.  Draws are taken BLOCK at a time; a
-    block's urn uniforms are transposed, so each step works in place on
-    contiguous rows, and each row then holds the states it drove.  The
-    state is float64 holding exact integers (u(u-1) and u(balls-u) stay
-    below 2^53), so the thresholds are urn._float_thresholds' bit for bit.
+    chunk is (seed, stream_id, start, count).  take(first, block) is called
+    on each stepped block in order: block[j] holds U_(first+j+1) of every
+    replicate, and is overwritten once take returns.  With times, of shape
+    (count, n-1) and only at horizon n-1, the n-1 waiting-time uniforms
+    that follow the urn uniforms in each stream are copied into it from the
+    same pieces.  Draws are taken BLOCK at a time; a block's urn uniforms
+    are transposed, so each step works in place on contiguous rows, and
+    each row then holds the states it drove.  The state is float64 holding
+    exact integers (u(u-1) and u(balls-u) stay below 2^53), so the
+    thresholds are urn._float_thresholds' bit for bit.
     """
     sub, mul, div, add = np.subtract, np.multiply, np.divide, np.add
     less, greater_equal = np.less, np.greater_equal
-    steps = n - 1
-    total = 2 * steps if times else steps
-    paths = np.zeros((count, n + 1), dtype=np.int32)
-    t = np.empty((count, steps)) if times else None
-    rows = np.empty((min(BLOCK, steps), count))
+    count = chunk[3]
+    total = horizon if times is None else horizon + n - 1
+    rows = np.empty((min(BLOCK, horizon), count))
     u = carry = np.zeros(count)
     down, stay = np.empty(count), np.empty(count)
     below, above = np.empty(count, dtype=bool), np.empty(count, dtype=bool)
     for first in range(0, total, BLOCK):
-        w = _uniform_rows(seed, stream_id, start, count, min(BLOCK, total - first), first)
-        m = min(max(steps - first, 0), w.shape[1])  # urn columns of this block
+        w = _uniform_rows(*chunk, min(BLOCK, total - first), first)
+        m = min(max(horizon - first, 0), w.shape[1])  # urn columns of this block
         if m < w.shape[1]:
-            t[:, first + m - steps:first + w.shape[1] - steps] = w[:, m:]
+            times[:, first + m - horizon:first + w.shape[1] - horizon] = w[:, m:]
         block = rows[:m]
         _copy_transposed(block, w[:, :m])
         del w  # before the next block is drawn
@@ -109,8 +120,8 @@ def _urn_paths(n: int, seed: int, stream_id: int, start: int, count: int,
             u = row
         np.copyto(carry, u)  # the next block overwrites the rows
         u = carry
-        _copy_transposed(paths[:, first + 1:first + m + 1], block)
-    return paths, t
+        if m:
+            take(first, block)
 
 
 def _copy_transposed(dst: np.ndarray, src: np.ndarray) -> None:
@@ -119,19 +130,23 @@ def _copy_transposed(dst: np.ndarray, src: np.ndarray) -> None:
         np.copyto(dst[:, i:i + 64], src[i:i + 64].T, casting="unsafe")
 
 
-def _times(n: int, w: np.ndarray) -> np.ndarray:
-    """T_1..T_(n-1) per row from waiting-time uniforms (descending k order).
+def _times(n: int, w: np.ndarray, first: int = 0, prior: np.ndarray | None = None) -> np.ndarray:
+    """Cumulative coalescence times from waiting-time uniforms, in place on w.
 
-    Column j of w drives level k = n - j.  Works in place on w and returns
-    a view of shape (count, n-1) with column k-1 holding T_k; T_n = 0 is
-    implicit.
+    Column j of w is waiting-time uniform first + j of its row (descending k
+    order): it drives level k = n - first - j and becomes T_(k-1).  prior is
+    each row's T_(n-first), the last column of the block before; cumsum
+    adds in sequence, so a row transformed in blocks has the bits of one
+    transformed whole.  Returns w.
     """
-    ks = np.arange(n, 1, -1, dtype=float)
+    ks = np.arange(n - first, n - first - w.shape[1], -1, dtype=float)
     np.negative(w, out=w)
     np.log1p(w, out=w)
     np.divide(w, ks * (ks - 1) / -2.0, out=w)  # the increments -log1p(-w) / rate
+    if prior is not None:
+        w[:, 0] += prior
     np.cumsum(w, axis=1, out=w)
-    return w[:, ::-1]
+    return w
 
 
 def _merge_counts(paths: np.ndarray) -> np.ndarray:
@@ -150,44 +165,53 @@ def _rho_inverse_cdf(n: int, w: np.ndarray) -> np.ndarray:
 
 
 class Draw(NamedTuple):
-    """What a chunk draws and turns into reducer inputs, and the memory it takes."""
+    """How a chunk draws and reduces its replicates, and the memory it takes."""
 
-    inputs: Callable[..., tuple]  # (n, seed, stream_id, start, count) -> reducer inputs
+    values: Callable[..., np.ndarray]  # (n, chunk, **keywords) -> a value or row per replicate
     bytes: Callable[[int], int]  # most bytes one replicate holds in its chunk, given n
-
-
-def _rho(n: int, *chunk) -> tuple:
-    return (_rho_inverse_cdf(n, _uniform_rows(*chunk, 1)[:, 0]),)
-
-
-def _rho_times(n: int, *chunk) -> tuple:
-    w = _uniform_rows(*chunk, n)
-    return _rho_inverse_cdf(n, w[:, 0]), _times(n, w[:, 1:])
-
-
-def _urn_times(n: int, *chunk) -> tuple:
-    paths, w = _urn_paths(n, *chunk, times=True)
-    return paths, _times(n, w)
-
-
-def _block_bytes(draws: int, steps: int) -> int:
-    # a block of uniforms and its urn columns, transposed
-    return 8 * min(BLOCK, draws) + 8 * min(BLOCK, steps)
-
-
-# Bytes per replicate: int32 paths (4n), float64 times (8n), the blocks, and
-# the largest reduction of the kind: tau's boolean hits (n); L_hat's
-# increments and weights (16n); eta_count's points, mask and counts (13n).
-RHO = Draw(_rho, lambda n: 64)
-RHO_TIMES = Draw(_rho_times, lambda n: 8 * n + 64)
-URN = Draw(lambda n, *chunk: _urn_paths(n, *chunk)[:1],
-           lambda n: 5 * (n + 1) + _block_bytes(n - 1, n - 1) + 64)
-URN_TIMES = Draw(_urn_times, lambda n: 28 * (n + 1) + _block_bytes(2 * (n - 1), n - 1) + 64)
 
 
 def _width(draw: Draw, n: int) -> int:
     """Replicates per chunk: as many as BUDGET holds, at least 1, at most MAX_WIDTH."""
     return max(1, min(MAX_WIDTH, BUDGET // draw.bytes(n)))
+
+
+def _urn_bytes(n: int) -> int:
+    """Bytes per replicate of a statistic that reduces stepped blocks.
+
+    A block of urn uniforms and its stepped rows, and tau's boolean hits.
+    """
+    return 17 * min(BLOCK, n - 1) + 64
+
+
+def _r(n: int, chunk: tuple) -> np.ndarray:
+    w = _uniform_rows(*chunk, n)
+    rho = _rho_inverse_cdf(n, w[:, 0])
+    t = _times(n, w[:, 1:])[:, ::-1]  # column k-1 holds T_k
+    return t[np.arange(len(rho)), rho - 1]
+
+
+def _paths_times(n: int, chunk: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Whole int32 paths U_0..U_n and times, column k-1 holding T_k; T_n = 0 is implicit."""
+    paths = np.zeros((chunk[3], n + 1), dtype=np.int32)
+    w = np.empty((chunk[3], n - 1))
+
+    def take(first, block):
+        _copy_transposed(paths[:, first + 1:first + len(block) + 1], block)
+
+    _urn_paths(n, chunk, n - 1, take, w)
+    return paths, _times(n, w)[:, ::-1]
+
+
+def _whole(reduce: Callable[..., np.ndarray]) -> Draw:
+    """An L-family statistic: reduce(n, paths, t, **keywords) on whole paths and times.
+
+    Bytes: int32 paths (4n), float64 times (8n), a block of uniforms and its
+    urn rows, and L_hat's increments and weights (16n), the largest of the
+    family's reductions.
+    """
+    return Draw(lambda n, chunk, **keywords: reduce(n, *_paths_times(n, chunk), **keywords),
+                lambda n: 28 * (n + 1) + 8 * min(BLOCK, 2 * (n - 1)) + 8 * min(BLOCK, n - 1) + 64)
 
 
 def _window(n: int, t: np.ndarray, x: np.ndarray, alpha: float, beta: float) -> np.ndarray:
@@ -208,24 +232,99 @@ def _hat_length(n: int, paths: np.ndarray, t: np.ndarray, alpha: float, beta: fl
     return contrib[:, m - 1:].sum(axis=1) - contrib[:, big_m - 1:].sum(axis=1)
 
 
-def _tau(n: int, paths: np.ndarray) -> np.ndarray:
-    hits = paths[:, 1:n] == n - np.arange(1, n)
-    jmin = 1 + np.argmax(hits, axis=1)
-    return (n - jmin).astype(float)
-
-
-def _eta_count(n: int, paths: np.ndarray, t: np.ndarray, a: float, b: float) -> np.ndarray:
-    pts = math.sqrt(n) * t
-    mask = (pts >= a) & (pts < b)
-    # merge counts last: made before pts, they add one int32 array to the chunk's peak
-    x = _merge_counts(paths)
-    x *= mask
-    return x.sum(axis=1).astype(float)
-
-
 def _window_pair(n: int, paths: np.ndarray, t: np.ndarray, window1, window2) -> np.ndarray:
     x = _merge_counts(paths)
     return np.column_stack([_window(n, t, x, *window1), _window(n, t, x, *window2)])
+
+
+def _tau_hits(n: int, first: int, block: np.ndarray) -> np.ndarray:
+    """Per replicate, the steps j of a block on the line U_j = n - j.
+
+    Once U_j = n - j every ball is red, and the chain stays on that line to
+    U_(n-1) = 1; so the hits over U_1..U_(n-1) number tau, with no search
+    for the first.
+    """
+    line = np.arange(n - first - 1, n - first - 1 - len(block), -1, dtype=float)
+    return np.count_nonzero(block == line[:, None], axis=0)
+
+
+def _tau(n: int, chunk: tuple) -> np.ndarray:
+    hits = np.zeros(chunk[3], dtype=np.int64)
+
+    def take(first, block):
+        np.add(hits, _tau_hits(n, first, block), out=hits)
+
+    _urn_paths(n, chunk, n - 1, take)
+    return hits.astype(float)
+
+
+def _snapshot(n: int, chunk: tuple, steps) -> np.ndarray:
+    """U_s at each of the steps per replicate, copied as its block passes; U_0 = U_n = 0."""
+    steps = np.asarray(steps, dtype=int)
+    out = np.zeros((chunk[3], len(steps)))
+
+    def take(first, block):
+        now = (steps > first) & (steps <= first + len(block))
+        out[:, now] = block[steps[now] - first - 1].T
+
+    _urn_paths(n, chunk, min(int(steps.max()), n - 1), take)
+    return out
+
+
+def _eta_band(n: int, chunk: tuple, a: float, b: float) -> tuple[int, np.ndarray]:
+    """The time columns lo.. that hold some row's point sqrt(n) T_k in [a, b), and their mask.
+
+    Column j of the times is level k = n-1-j, drawn after the n-1 urn
+    uniforms of each stream and transformed a block at a time.  T_k rises
+    as k falls, so a row's points rise along it, and drawing stops once
+    every row is past b.  The mask has one row per column lo, lo+1, ... and
+    one column per replicate; it is empty, with lo = 0, if no point is in
+    [a, b).
+    """
+    steps, count = n - 1, chunk[3]
+    pieces, prior = [], None  # (column, mask) from a block's first to its last column in [a, b)
+    for first in range(0, steps, BLOCK):
+        t = _times(n, _uniform_rows(*chunk, min(BLOCK, steps - first), steps + first),
+                   first, prior)
+        prior = t[:, -1].copy()
+        t *= math.sqrt(n)  # the scaled points
+        inside = t >= a
+        inside &= t < b
+        now = np.flatnonzero(inside.any(axis=0))
+        if now.size:
+            pieces.append((first + now[0], inside[:, now[0]:now[-1] + 1].T.copy()))
+        if (t[:, -1] >= b).all():
+            break
+        del t, inside  # before the next block is drawn
+    if not pieces:
+        return 0, np.zeros((0, count), dtype=bool)
+    lo = pieces[0][0]
+    mask = np.zeros((pieces[-1][0] + len(pieces[-1][1]) - lo, count), dtype=bool)
+    for column, piece in pieces:
+        mask[column - lo:column - lo + len(piece)] = piece
+    return lo, mask
+
+
+def _eta_count(n: int, chunk: tuple, a: float, b: float) -> np.ndarray:
+    """Merge counts X_k summed over the levels k with sqrt(n) T_k in [a, b).
+
+    The chain is stepped to the end of the band and kept on it only: time
+    column j is level k = n-1-j, where X_k = 1 + U_(j+1) - U_j.
+    """
+    lo, mask = _eta_band(n, chunk, a, b)
+    hi = lo + len(mask)
+    u = np.zeros((len(mask) + 1, chunk[3]), dtype=np.int32)  # U_lo..U_hi; U_0 = 0
+
+    def take(first, block):
+        i, j = max(lo, first + 1), min(hi, first + len(block))  # the band's steps here
+        if i <= j:
+            np.copyto(u[i - lo:j - lo + 1], block[i - first - 1:j - first], casting="unsafe")
+
+    _urn_paths(n, chunk, hi, take)
+    x = np.diff(u, axis=0)
+    x += 1
+    x *= mask
+    return x.sum(axis=0).astype(float)
 
 
 def _check_exponents(n: int, alpha: float, beta: float) -> None:
@@ -250,36 +349,36 @@ def _check_windows(n: int, window1, window2) -> None:
 
 class Statistic(NamedTuple):
     draw: Draw
-    reduce: Callable[..., np.ndarray]  # reduce(n, *draw inputs, **keywords)
     keywords: tuple[str, ...] = ()
     check: Callable[..., None] = lambda n: None  # check(n, **keywords) raises ValueError
     two_d: bool = False  # one row of values per replicate, not one value
 
 
 STATISTICS: dict[str, Statistic] = {
-    "L": Statistic(URN_TIMES, lambda n, paths, t: (t * _merge_counts(paths)).sum(axis=1)),
-    "L_window": Statistic(URN_TIMES, lambda n, paths, t, alpha, beta:
-                          _window(n, t, _merge_counts(paths), alpha, beta),
+    "L": Statistic(_whole(lambda n, paths, t: (t * _merge_counts(paths)).sum(axis=1))),
+    "L_window": Statistic(_whole(lambda n, paths, t, alpha, beta:
+                                 _window(n, t, _merge_counts(paths), alpha, beta)),
                           ("alpha", "beta"), _check_exponents),
-    "L_hat": Statistic(URN_TIMES, _hat_length, ("alpha", "beta"), _check_exponents),
-    "tau": Statistic(URN, _tau),
-    "rho": Statistic(RHO, lambda n, rho: rho.astype(float)),
-    "R": Statistic(RHO_TIMES, lambda n, rho, t: t[np.arange(len(rho)), rho - 1]),
-    "urn_marginal": Statistic(URN, lambda n, paths, k: paths[:, k].astype(float),
+    "L_hat": Statistic(_whole(_hat_length), ("alpha", "beta"), _check_exponents),
+    "tau": Statistic(Draw(_tau, _urn_bytes)),
+    "rho": Statistic(Draw(lambda n, chunk: _rho_inverse_cdf(n, _uniform_rows(*chunk, 1)[:, 0])
+                          .astype(float), lambda n: 64)),
+    "R": Statistic(Draw(_r, lambda n: 8 * n + 64)),
+    "urn_marginal": Statistic(Draw(lambda n, chunk, k: _snapshot(n, chunk, [k])[:, 0], _urn_bytes),
                               ("k",), lambda n, k: _check_steps(n, [k])),
-    "eta_count": Statistic(URN_TIMES, _eta_count, ("a", "b"), _check_interval),
-    "urn_snapshot": Statistic(URN, lambda n, paths, steps:
-                              paths[:, np.asarray(steps, dtype=int)].astype(float),
-                              ("steps",), _check_steps, two_d=True),
-    "window_pair": Statistic(URN_TIMES, _window_pair, ("window1", "window2"),
+    # eta_count's band of at most n-1 levels: its mask (n), U as int32 (4n)
+    # and the merge counts (4n), or the mask's pieces while they are joined
+    "eta_count": Statistic(Draw(_eta_count, lambda n: _urn_bytes(n) + 9 * n),
+                           ("a", "b"), _check_interval),
+    "urn_snapshot": Statistic(Draw(_snapshot, _urn_bytes), ("steps",), _check_steps, two_d=True),
+    "window_pair": Statistic(_whole(_window_pair), ("window1", "window2"),
                              _check_windows, two_d=True),
 }
 
 
 def _chunk_kernel(statistic: str, n: int, seed: int, stream_id: int,
                   start: int, count: int, params: dict) -> np.ndarray:
-    spec = STATISTICS[statistic]
-    return spec.reduce(n, *spec.draw.inputs(n, seed, stream_id, start, count), **params)
+    return STATISTICS[statistic].draw.values(n, (seed, stream_id, start, count), **params)
 
 
 def _usable_cpus() -> int:

@@ -239,13 +239,6 @@ def tau_limit_tail(t: float) -> float:
     return math.exp(-t * t)
 
 
-def gp_mean(t: float) -> float:
-    """Limit of E(U_(nt))/n: t(1-t)."""
-    if not 0 <= t <= 1:
-        raise ValueError("need 0 <= t <= 1")
-    return t * (1.0 - t)
-
-
 def gp_cov(s: float, t: float) -> float:
     """Limit covariance of the centered scaled chain: s^2 (1-t)^2, s <= t."""
     if not (0 <= s <= 1 and 0 <= t <= 1):

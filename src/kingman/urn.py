@@ -86,12 +86,6 @@ class ExactLaw(Mapping):
     def mean(self) -> Fraction:
         return sum((Fraction(o) * p for o, p in self._probs.items()), ZERO)
 
-    def to_json_obj(self) -> list[dict]:
-        return [
-            {"outcome": str(o), "num": str(p.numerator), "den": str(p.denominator)}
-            for o, p in sorted(self._probs.items(), key=lambda item: str(item[0]))
-        ]
-
 
 def transition_probabilities(n: int, k: int, u: int) -> tuple[Fraction, Fraction, Fraction]:
     """Exact (down, stay, up) probabilities for U_{k+1} given U_k = u.
@@ -325,10 +319,6 @@ def hypergeometric_pmf(n: int, k: int, r: int) -> Fraction:
     return Fraction(num, comb(n - 1, n - k - 1))
 
 
-def reverse_path(p: UrnPath) -> UrnPath:
-    return UrnPath(p.n, tuple(reversed(p.u)))
-
-
 def tau(p: UrnPath) -> int:
     """max{k >= 1 : U_(n-k) = k}, the red count when the last black leaves.
 
@@ -337,16 +327,6 @@ def tau(p: UrnPath) -> int:
     best = 0
     for k in range(1, p.n):
         if p.u[p.n - k] == k:
-            best = k
-    assert best >= 1
-    return best
-
-
-def tau_first_hit(p: UrnPath) -> int:
-    """max{k >= 1 : U_k = k}: the step count before the first red removal."""
-    best = 0
-    for k in range(1, p.n):
-        if p.u[k] == k:
             best = k
     assert best >= 1
     return best

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import hashlib
+import math
 import os
 import tracemalloc
 
@@ -100,6 +101,27 @@ def invariance_params(stat, n):
     return params
 
 
+def edge_cases(n):
+    """(statistic, params) at the ends of eta_count's band, of the horizon and of a block."""
+    rng = replicate_stream(SEED, 0)
+    urn.sample_urn_path(n, rng)
+    points = coalescent.sample_waiting_times(n, rng).t * math.sqrt(n)  # points[k] at level k
+    cases = [("eta_count", {"a": 1e6, "b": 2e6}),  # no point reaches a: an empty band
+             ("eta_count", {"a": 1e-12, "b": 2e-12}),  # every point is past b at once
+             ("eta_count", {"a": 1e-12, "b": 1e12}),  # every level, from n-1 down to 1
+             ("urn_marginal", {"k": 0}), ("urn_marginal", {"k": n})]
+    steps = {0, 1, n - 1, n}
+    for edge in (4, 12):  # block edges at BLOCK = 4 and 12
+        if edge < n - 1:
+            # replicate 0 has points at time columns edge-1 and edge: levels n-edge and n-edge-1
+            cases.append(("eta_count", {"a": points[n - edge] * (1 - 1e-9),
+                                        "b": points[n - edge - 1] * (1 + 1e-9)}))
+        if edge <= n:
+            cases.append(("urn_snapshot", {"steps": [edge]}))  # the horizon ends on the edge
+            steps |= {edge, edge + 1} & set(range(n + 1))
+    return cases + [("urn_snapshot", {"steps": sorted(steps)})]
+
+
 def test_width_and_block_invariance(monkeypatch):
     # With BLOCK = 12: n-1 = 5, 6, 7 and 13 cover n-1 = 1, 2, 3 (mod 4);
     # 2(n-1) = 12 fills one block at n = 7 and straddles two at n = 8; n-1 > 12
@@ -108,8 +130,8 @@ def test_width_and_block_invariance(monkeypatch):
     variants = [("MAX_WIDTH", 1), ("MAX_WIDTH", 7), ("MAX_WIDTH", 16),  # 2 chunks: 12 and 11
                 ("BLOCK", 4), ("BLOCK", 12)]
     for n in (6, 7, 8, 14, 40):
-        for stat in batch.STATISTICS:
-            params = invariance_params(stat, n)
+        cases = [(stat, invariance_params(stat, n)) for stat in batch.STATISTICS]
+        for stat, params in cases + edge_cases(n):
             expect = batch.simulate(stat, n, reps, SEED, **params).tobytes()
             for name, value in variants:
                 with monkeypatch.context() as m:
@@ -138,11 +160,42 @@ def test_chunks_stay_within_the_byte_budget(monkeypatch):
         tracemalloc.stop()
 
 
+def test_block_reducers_hold_memory_flat_in_n():
+    # tau, urn_snapshot and eta_count reduce each block as it is stepped, so
+    # one chunk's traced peak per replicate does not grow with n
+    reps = 256  # one chunk at both n
+    tracemalloc.start()
+    try:
+        for stat in ("tau", "urn_snapshot", "eta_count"):
+            peaks = []
+            for n in (2000, 20_000):
+                params = {"a": 1.0, "b": 2.0} if stat == "eta_count" else invariance_params(stat, n)
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                batch.simulate(stat, n, reps, SEED, **params)
+                peaks.append((tracemalloc.get_traced_memory()[1] - before) / reps)
+            assert abs(peaks[1] / peaks[0] - 1) <= 0.1, (stat, peaks)
+    finally:
+        tracemalloc.stop()
+
+
+def test_tau_hits_count_tau_on_every_path():
+    # the hit count equals tau on every path of positive probability, in blocks of 1-3 steps
+    for n in range(2, 10):
+        paths = list(urn.exact_path_law(n))
+        rows = np.array([path[1:n] for path in paths], dtype=float).T  # U_1..U_(n-1)
+        expect = [urn.tau(urn.UrnPath(n, path)) for path in paths]
+        for size in (1, 2, 3):
+            hits = sum(batch._tau_hits(n, first, rows[first:first + size])
+                       for first in range(0, n - 1, size))
+            assert hits.tolist() == expect, (n, size)
+
+
 def test_width_at_a_million_fits_the_budget():
     n = 10 ** 6
-    for kind in (batch.RHO, batch.RHO_TIMES, batch.URN, batch.URN_TIMES):
-        w = batch._width(kind, n)
-        assert w >= 1 and w * kind.bytes(n) <= batch.BUDGET
+    for stat, spec in batch.STATISTICS.items():
+        w = batch._width(spec.draw, n)
+        assert w >= 1 and w * spec.draw.bytes(n) <= batch.BUDGET, stat
 
 
 def test_pool_size_is_capped_by_chunks_and_cpus(monkeypatch):
@@ -164,7 +217,7 @@ def test_pool_size_is_capped_by_chunks_and_cpus(monkeypatch):
 
 
 def test_worker_exception_reaches_caller(monkeypatch):
-    def broken(n, seed, stream_id, start, count, times=False):
+    def broken(*args):
         raise RuntimeError("urn step failed")
 
     monkeypatch.setattr(batch, "_urn_paths", broken)  # the forked workers inherit it

@@ -251,13 +251,18 @@ def test_rho_cdf():
     assert diffs[0] == Fraction(2, n * (n - 1))
 
 
+def gp_mean(t):
+    """Limit of E(U_(nt))/n: t(1-t)."""
+    return t * (1.0 - t)
+
+
 def test_limit_laws():
     assert moments.poisson_mean(1.0, 2.0) == pytest.approx(3.0)
     assert moments.poisson_mean(2.0) == pytest.approx(1.0)
     assert moments.r_limit_cdf(0.0) == 0.0
     assert moments.r_limit_cdf(1e9) == pytest.approx(1.0)
     assert moments.tau_limit_tail(0.0) == 1.0
-    assert moments.gp_mean(0.5) == 0.25
+    assert float(moments.e_U(10_000, 2500)) / 10_000 == pytest.approx(gp_mean(0.25), rel=1e-3)
     assert moments.gp_cov(0.25, 0.75) == moments.gp_cov(0.75, 0.25)
     assert moments.gp_cov(0.5, 0.5) == pytest.approx(0.0625)
 

