@@ -3,7 +3,9 @@
 Replicate r draws from its own counter-based stream (see rng.py), so any
 statistic simulated here is bitwise reproducible for a given (seed, n,
 reps), whatever the chunk width, the block size or the thread count.  A
-chunk re-keys one Philox per replicate: the bits of rng.replicate_stream.
+chunk draws the bits of rng.replicate_stream: one vectorized Philox over
+the chunk's keys for stream heads (draws within the first Philox block),
+one Philox re-keyed per replicate for longer draws.
 
 The urn chain is stepped a block of BLOCK draws at a time: a block's
 uniforms are taken at their offset in every replicate's stream (a Philox
@@ -31,7 +33,8 @@ The per-replicate draw order matches the scalar samplers in urn.py and
 coalescent.py: first the n-1 urn-transition uniforms, then (if the
 statistic needs times) the n-1 waiting-time uniforms in descending k.
 eta_count reads its times before it steps the chain, each block from its
-offset.
+offset.  R draws rho's uniform, then only the n - rho time uniforms that
+reach T_rho, ragged rows sorted by descending n - rho (see _r).
 
 Every statistic is one entry of STATISTICS: its keywords and their check,
 and how a chunk draws and reduces its replicates, with the bytes that takes.
@@ -52,28 +55,69 @@ from .rng import replicate_key
 BLOCK = 2048  # draws per replicate taken at once; a multiple of 4, Philox's output block
 BUDGET = 192 << 20  # bytes one chunk may hold
 MAX_WIDTH = 1536  # replicates per chunk, however many the budget would hold
+TILE = 64  # rows or columns a tiled loop takes at once, so that they stay in cache
+HEAD_BYTES = 160  # per row in _philox_heads: its words, key, products' temporaries, heads
+
+# numpy's Philox4x64-10: the round multipliers and the key increments
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_LOW32 = 0xFFFFFFFF
+
+
+def _mulhilo(m: int, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The high and low 64-bit words of m * a, from 32-bit halves in uint64 arithmetic."""
+    lo, hi = a & _LOW32, a >> 32
+    lo_lo, hi_lo = lo * (m & _LOW32), hi * (m & _LOW32)
+    cross = (lo_lo >> 32) + (hi_lo & _LOW32) + lo * (m >> 32)  # < 2^64
+    return hi * (m >> 32) + (hi_lo >> 32) + (cross >> 32), a * m
+
+
+def _philox_heads(seed: int, stream_id: int, start: int, rows: np.ndarray) -> np.ndarray:
+    """Words 0-3 of the streams of replicates start + rows (a checked range), as uint64."""
+    k0, k1 = replicate_key(seed, start, stream_id)
+    k1 = rows.astype(np.uint64) + k1  # the replicate fills the low 48 bits
+    # counter (1, 0, 0, 0): numpy increments the counter before its first output
+    x0, x1, x2, x3 = (np.full(len(rows), c, dtype=np.uint64) for c in (1, 0, 0, 0))
+    for _ in range(10):
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], x0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], x2)
+        x0, x1, x2, x3 = hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0
+        k0, k1 = (k0 + _PHILOX_W[0]) % 2 ** 64, k1 + _PHILOX_W[1]
+    return np.stack([x0, x1, x2, x3], axis=1)
 
 
 def _uniform_rows(seed: int, stream_id: int, start: int, count: int, draws: int,
-                  offset: int = 0) -> np.ndarray:
-    """Row i is replicate_stream(seed, start + i, stream_id).random(offset + draws)[offset:].
+                  offset: int = 0, order: np.ndarray | None = None,
+                  lengths: np.ndarray | None = None) -> np.ndarray:
+    """Row p is replicate_stream(seed, start + order[p], stream_id).random(offset + draws)[offset:]
 
-    Philox makes four 64-bit words per counter value and each draw takes
-    one word, so a row starts at counter offset // 4 and skips offset % 4
-    words: draws offset.. of the stream, bit for bit, without the ones before.
+    order permutes 0..count-1 (default: the identity); with lengths, row p
+    holds its first lengths[p] draws, then zeros.  Philox makes four 64-bit
+    words per counter value and each draw takes one word.  Draws within the
+    first four words come from _philox_heads; longer ones re-key one Philox
+    per row, which starts at counter offset // 4 and skips offset % 4 words.
     """
+    rows = np.arange(count) if order is None else order
+    if offset + draws <= 4:  # past one block a row, re-keying is the faster
+        replicate_key(seed, start + count - 1, stream_id)  # the key range of every row
+        heads = _philox_heads(seed, stream_id, start, rows)[:, offset:offset + draws]
+        out = (heads >> 11) * 2.0 ** -53
+        if lengths is not None:
+            out[np.arange(draws) >= lengths[:, None]] = 0.0
+        return out
     bit_gen = np.random.Philox(key=0)
     gen = np.random.Generator(bit_gen)
     fresh = {"bit_generator": "Philox", "state": {"counter": [offset // 4, 0, 0, 0], "key": None},
              "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     skip = offset % 4
-    out = np.empty((count, draws))
-    for i in range(count):
-        fresh["state"]["key"] = replicate_key(seed, start + i, stream_id)
+    out = np.empty((count, draws)) if lengths is None else np.zeros((count, draws))
+    targets = out if lengths is None else map(lambda row, end: row[:end], out, lengths.tolist())
+    for row, target in zip(rows.tolist(), targets):
+        fresh["state"]["key"] = replicate_key(seed, start + row, stream_id)
         bit_gen.state = fresh  # new key, counter at the offset, empty buffer
         if skip:
             bit_gen.random_raw(skip)
-        gen.random(out=out[i])
+        gen.random(out=target)
     return out
 
 
@@ -126,8 +170,8 @@ def _urn_paths(n: int, chunk: tuple, horizon: int, take: Callable[[int, np.ndarr
 
 def _copy_transposed(dst: np.ndarray, src: np.ndarray) -> None:
     """dst[...] = src.T, casting; in tiles of rows of src that stay in cache."""
-    for i in range(0, src.shape[0], 64):
-        np.copyto(dst[:, i:i + 64], src[i:i + 64].T, casting="unsafe")
+    for i in range(0, src.shape[0], TILE):
+        np.copyto(dst[:, i:i + TILE], src[i:i + TILE].T, casting="unsafe")
 
 
 def _times(n: int, w: np.ndarray, first: int = 0, prior: np.ndarray | None = None) -> np.ndarray:
@@ -168,27 +212,40 @@ class Draw(NamedTuple):
     """How a chunk draws and reduces its replicates, and the memory it takes."""
 
     values: Callable[..., np.ndarray]  # (n, chunk, **keywords) -> a value or row per replicate
-    bytes: Callable[[int], int]  # most bytes one replicate holds in its chunk, given n
+    bytes: Callable[..., int]  # (n, **keywords) -> most bytes one replicate holds in its chunk
 
 
-def _width(draw: Draw, n: int) -> int:
+def _width(draw: Draw, n: int, **keywords) -> int:
     """Replicates per chunk: as many as BUDGET holds, at least 1, at most MAX_WIDTH."""
-    return max(1, min(MAX_WIDTH, BUDGET // draw.bytes(n)))
+    return max(1, min(MAX_WIDTH, BUDGET // draw.bytes(n, **keywords)))
 
 
-def _urn_bytes(n: int) -> int:
+def _urn_bytes(n: int, steps=()) -> int:
     """Bytes per replicate of a statistic that reduces stepped blocks.
 
-    A block of urn uniforms and its stepped rows, and tau's boolean hits.
+    A block of urn uniforms and its stepped rows, tau's boolean hits, and
+    urn_snapshot's row of len(steps) values, twice: simulate concatenates it.
     """
-    return 17 * min(BLOCK, n - 1) + 64
+    return 17 * min(BLOCK, n - 1) + 16 * len(steps) + 64
 
 
 def _r(n: int, chunk: tuple) -> np.ndarray:
-    w = _uniform_rows(*chunk, n)
-    rho = _rho_inverse_cdf(n, w[:, 0])
-    t = _times(n, w[:, 1:])[:, ::-1]  # column k-1 holds T_k
-    return t[np.arange(len(rho)), rho - 1]
+    """T_rho per replicate, from the n - rho time uniforms that reach it.
+
+    Rows sorted by descending need = n - rho, those that still read a block
+    of TILE time columns are a prefix.  Column need - 1 becomes T_rho.
+    """
+    rho = _rho_inverse_cdf(n, _uniform_rows(*chunk, 1)[:, 0])
+    order = np.argsort(rho, kind="stable")  # descending need, ties in replicate order
+    need = n - rho[order]
+    w = _uniform_rows(*chunk, n - 1, 1, order, need)  # zeros past each row's need
+    prior = np.zeros(len(need))  # x + 0.0 is x: the increments are never -0.0
+    for first in range(0, need[0], TILE):
+        k = np.count_nonzero(need > first)
+        prior = _times(n, w[:k, first:first + TILE], first, prior[:k])[:, -1]
+    out = np.empty(len(need))
+    out[order] = w[np.arange(len(need)), need - 1]
+    return out
 
 
 def _paths_times(n: int, chunk: tuple) -> tuple[np.ndarray, np.ndarray]:
@@ -211,7 +268,8 @@ def _whole(reduce: Callable[..., np.ndarray]) -> Draw:
     family's reductions.
     """
     return Draw(lambda n, chunk, **keywords: reduce(n, *_paths_times(n, chunk), **keywords),
-                lambda n: 28 * (n + 1) + 8 * min(BLOCK, 2 * (n - 1)) + 8 * min(BLOCK, n - 1) + 64)
+                lambda n, **_: 28 * (n + 1) + 8 * min(BLOCK, 2 * (n - 1))
+                + 8 * min(BLOCK, n - 1) + 64)
 
 
 def _window(n: int, t: np.ndarray, x: np.ndarray, alpha: float, beta: float) -> np.ndarray:
@@ -362,13 +420,14 @@ STATISTICS: dict[str, Statistic] = {
     "L_hat": Statistic(_whole(_hat_length), ("alpha", "beta"), _check_exponents),
     "tau": Statistic(Draw(_tau, _urn_bytes)),
     "rho": Statistic(Draw(lambda n, chunk: _rho_inverse_cdf(n, _uniform_rows(*chunk, 1)[:, 0])
-                          .astype(float), lambda n: 64)),
-    "R": Statistic(Draw(_r, lambda n: 8 * n + 64)),
-    "urn_marginal": Statistic(Draw(lambda n, chunk, k: _snapshot(n, chunk, [k])[:, 0], _urn_bytes),
+                          .astype(float), lambda n: HEAD_BYTES)),
+    "R": Statistic(Draw(_r, lambda n: 8 * n + HEAD_BYTES)),
+    "urn_marginal": Statistic(Draw(lambda n, chunk, k: _snapshot(n, chunk, [k])[:, 0],
+                                   lambda n, k: _urn_bytes(n, [k])),
                               ("k",), lambda n, k: _check_steps(n, [k])),
     # eta_count's band of at most n-1 levels: its mask (n), U as int32 (4n)
     # and the merge counts (4n), or the mask's pieces while they are joined
-    "eta_count": Statistic(Draw(_eta_count, lambda n: _urn_bytes(n) + 9 * n),
+    "eta_count": Statistic(Draw(_eta_count, lambda n, a, b: _urn_bytes(n) + 9 * n),
                            ("a", "b"), _check_interval),
     "urn_snapshot": Statistic(Draw(_snapshot, _urn_bytes), ("steps",), _check_steps, two_d=True),
     "window_pair": Statistic(_whole(_window_pair), ("window1", "window2"),
@@ -417,7 +476,7 @@ def simulate(statistic: str, n: int, reps: int, seed: int, *,
                          f"got {sorted(params)}")
     spec.check(n, **params)
     replicate_key(seed, reps - 1, stream_id)  # rejects a bad stream id or too many reps
-    count = -(-reps // _width(spec.draw, n))  # chunks
+    count = -(-reps // _width(spec.draw, n, **params))  # chunks
     workers = min(threads, count, _usable_cpus())
     if workers > 1:  # the same number of chunks per worker, at least two
         count = min(reps, workers * max(2, -(-count // workers)))

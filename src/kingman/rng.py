@@ -3,8 +3,8 @@
 Each replicate owns an independent counter-based Philox stream whose
 128-bit key encodes (master seed, stream id, replicate index), so results
 never depend on how replicates are scheduled across threads.
-The batch engine builds one Philox per chunk and re-keys it for each
-replicate, which draws the same bits as replicate_stream.
+The batch engine draws the same bits: stream heads from one vectorized
+Philox over a chunk's keys, longer draws by re-keying one Philox per row.
 """
 
 from __future__ import annotations

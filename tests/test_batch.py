@@ -30,9 +30,9 @@ def test_repeatable():
     assert a.tobytes() == b.tobytes()
 
 
-def width(stat, n):
+def width(stat, n, **params):
     """Replicates per chunk that the byte budget gives stat at n, with no pool."""
-    return batch._width(batch.STATISTICS[stat].draw, n)
+    return batch._width(batch.STATISTICS[stat].draw, n, **params)
 
 
 def test_replicate_count_extension():
@@ -85,7 +85,7 @@ def test_outputs_match_frozen_digests(threads):
 def test_thread_count_invariance():
     assert FROZEN_DIGESTS.keys() == batch.STATISTICS.keys()
     for stat, (params, _) in FROZEN_DIGESTS.items():
-        reps = 3 * width(stat, 40) + 7  # four chunks of unequal sizes
+        reps = 3 * width(stat, 40, **params) + 7  # four chunks of unequal sizes
         a = batch.simulate(stat, 40, reps, SEED, threads=1, **params)
         for threads in (2, 8):
             b = batch.simulate(stat, 40, reps, SEED, threads=threads, **params)
@@ -127,13 +127,17 @@ def test_width_and_block_invariance(monkeypatch):
     # 2(n-1) = 12 fills one block at n = 7 and straddles two at n = 8; n-1 > 12
     # from n = 14.  The default BLOCK draws each replicate in one piece here.
     reps = 23
+    # R transforms TILE time columns at a time over the rows that still read
+    # them: at each n here its rows need from 1 to n-1 columns, and TILE = 1
+    # and 3 end prefixes on a tile edge
     variants = [("MAX_WIDTH", 1), ("MAX_WIDTH", 7), ("MAX_WIDTH", 16),  # 2 chunks: 12 and 11
                 ("BLOCK", 4), ("BLOCK", 12)]
+    tiles = [("TILE", 1), ("TILE", 3), ("TILE", 64)]
     for n in (6, 7, 8, 14, 40):
         cases = [(stat, invariance_params(stat, n)) for stat in batch.STATISTICS]
         for stat, params in cases + edge_cases(n):
             expect = batch.simulate(stat, n, reps, SEED, **params).tobytes()
-            for name, value in variants:
+            for name, value in variants + (tiles if stat == "R" else []):
                 with monkeypatch.context() as m:
                     m.setattr(batch, name, value)
                     got = batch.simulate(stat, n, reps, SEED, **params)
@@ -147,13 +151,15 @@ def test_chunks_stay_within_the_byte_budget(monkeypatch):
     n, budget = 5000, 4 << 20
     slack = 8 * 8 * n + (64 << 10)
     monkeypatch.setattr(batch, "BUDGET", budget)
+    cases = [(stat, invariance_params(stat, n)) for stat in batch.STATISTICS]
+    cases.append(("urn_snapshot", {"steps": range(n + 1)}))  # a row of n+1 values per replicate
     tracemalloc.start()
     try:
-        for stat, spec in batch.STATISTICS.items():
-            reps = batch._width(spec.draw, n)
+        for stat, params in cases:
+            reps = width(stat, n, **params)
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
-            batch.simulate(stat, n, reps, SEED, **invariance_params(stat, n))
+            batch.simulate(stat, n, reps, SEED, **params)
             peak = tracemalloc.get_traced_memory()[1] - before
             assert peak <= budget + slack, (stat, peak)
     finally:
@@ -194,8 +200,9 @@ def test_tau_hits_count_tau_on_every_path():
 def test_width_at_a_million_fits_the_budget():
     n = 10 ** 6
     for stat, spec in batch.STATISTICS.items():
-        w = batch._width(spec.draw, n)
-        assert w >= 1 and w * spec.draw.bytes(n) <= batch.BUDGET, stat
+        params = invariance_params(stat, n)
+        w = batch._width(spec.draw, n, **params)
+        assert w >= 1 and w * spec.draw.bytes(n, **params) <= batch.BUDGET, stat
 
 
 def test_pool_size_is_capped_by_chunks_and_cpus(monkeypatch):
@@ -235,23 +242,43 @@ EDGE_KEYS = [(SEED, 0, 0, 3), (-5, 3, 7, 4), (2 ** 70, 1, 100, 2),
 OFFSETS = (0, 1, 2, 3, 4, 5, batch.BLOCK - 1, batch.BLOCK, batch.BLOCK + 1)
 
 
-@pytest.mark.parametrize("draws", [1, 2, 3, 98, 1000])
+@pytest.mark.parametrize("draws", [1, 2, 3, 4, 98, 1000])
 def test_uniform_rows_match_replicate_streams(draws):
     # odd draw counts leave the Philox buffer part-used between replicates,
-    # and an offset that is not a multiple of 4 starts inside a Philox block
+    # and an offset that is not a multiple of 4 starts inside a Philox block;
+    # the ragged form takes the rows in reverse, row p holding 1 + p % draws
     for seed, stream_id, start, count in EDGE_KEYS:
+        order, lengths = np.arange(count)[::-1], 1 + np.arange(count) % draws
         for offset in OFFSETS:
             rows = batch._uniform_rows(seed, stream_id, start, count, draws, offset)
-            assert rows.shape == (count, draws)
+            ragged = batch._uniform_rows(seed, stream_id, start, count, draws, offset,
+                                         order, lengths)
+            assert rows.shape == ragged.shape == (count, draws)
             for i in range(count):
                 stream = replicate_stream(seed, start + i, stream_id)
                 expect = stream.random(offset + draws)[offset:]
                 assert rows[i].tobytes() == expect.tobytes(), (seed, stream_id, start + i, offset)
+                p = count - 1 - i  # the ragged row of replicate start + i
+                expect[lengths[p]:] = 0.0
+                assert ragged[p].tobytes() == expect.tobytes(), (seed, stream_id, start + i, offset)
 
 
 def test_uniform_rows_reject_replicates_past_the_key_range():
-    with pytest.raises(ValueError):
-        batch._uniform_rows(SEED, 0, 2 ** 48 - 511, 512, 3)
+    for draws in (3, 5):  # the vector path and the re-keyed rows
+        with pytest.raises(ValueError):
+            batch._uniform_rows(SEED, 0, 2 ** 48 - 511, 512, draws)
+
+
+def test_r_prefix_matches_whole_rows():
+    # R draws and transforms only the n - rho time uniforms it reads; the
+    # whole-row formula gives the same bits.  2000 replicates span two chunks.
+    reps = 2000
+    for n in (2, 3, 4, 5, 65, 66, 129, 1000):
+        w = batch._uniform_rows(SEED, 3, 0, reps, n)
+        rho = batch._rho_inverse_cdf(n, w[:, 0])
+        expect = batch._times(n, w[:, 1:])[:, ::-1][np.arange(reps), rho - 1]
+        got = batch.simulate("R", n, reps, SEED, stream_id=3)
+        assert got.tobytes() == expect.tobytes(), n
 
 
 def test_urn_marginal_matches_scalar_exactly():
