@@ -232,8 +232,8 @@ def _urn_bytes(n: int, steps=()) -> int:
 def _r(n: int, chunk: tuple) -> np.ndarray:
     """T_rho per replicate, from the n - rho time uniforms that reach it.
 
-    Rows sorted by descending need = n - rho, those that still read a block
-    of TILE time columns are a prefix.  Column need - 1 becomes T_rho.
+    With rows sorted by descending need = n - rho, the rows that still read
+    a tile of TILE time columns are a prefix.  Column need - 1 becomes T_rho.
     """
     rho = _rho_inverse_cdf(n, _uniform_rows(*chunk, 1)[:, 0])
     order = np.argsort(rho, kind="stable")  # descending need, ties in replicate order
