@@ -13,10 +13,11 @@ stream is addressed by its counter), transposed, and stepped in place on
 contiguous rows.  Each stepped (step, replicate) block is handed to the
 statistic's reducer, and the chain stops after the last step the
 statistic reads: tau counts hits on a line, urn_snapshot and urn_marginal
-copy rows, and eta_count keeps the chain only on the band of levels whose
-scaled times can fall in its interval.  Only the L family (L, L_window,
-L_hat, window_pair), whose float sums run over whole rows, copies the
-blocks back into whole paths.
+copy rows, and eta_count copies two states per replicate, at the ends of
+the run of levels whose scaled times fall in its interval (their merge
+counts telescope).  Only the L family (L, L_window, L_hat, window_pair),
+whose float sums run over whole rows, copies the blocks back into whole
+paths.
 
 A chunk's width is set by a byte budget: each statistic states the bytes
 one replicate holds, reduction included, and a chunk takes as many
@@ -36,8 +37,9 @@ eta_count reads its times before it steps the chain, each block from its
 offset.  R draws rho's uniform, then only the n - rho time uniforms that
 reach T_rho, ragged rows sorted by descending n - rho (see _r).
 
-Every statistic is one entry of STATISTICS: its keywords and their check,
-and how a chunk draws and reduces its replicates, with the bytes that takes.
+Every statistic is one Statistic record in STATISTICS: how a chunk draws
+and reduces its replicates, the bytes that takes, its keywords and their
+check.
 """
 
 from __future__ import annotations
@@ -208,23 +210,27 @@ def _rho_inverse_cdf(n: int, w: np.ndarray) -> np.ndarray:
     return np.searchsorted(cdf, w, side="right") + 1
 
 
-class Draw(NamedTuple):
-    """How a chunk draws and reduces its replicates, and the memory it takes."""
+class Statistic(NamedTuple):
+    """How a chunk draws and reduces its replicates, the bytes that takes, and its keywords."""
 
     values: Callable[..., np.ndarray]  # (n, chunk, **keywords) -> a value or row per replicate
     bytes: Callable[..., int]  # (n, **keywords) -> most bytes one replicate holds in its chunk
+    keywords: tuple[str, ...] = ()
+    check: Callable[..., None] = lambda n: None  # check(n, **keywords) raises ValueError
+    two_d: bool = False  # one row of values per replicate, not one value
 
 
-def _width(draw: Draw, n: int, **keywords) -> int:
+def _width(statistic: Statistic, n: int, **keywords) -> int:
     """Replicates per chunk: as many as BUDGET holds, at least 1, at most MAX_WIDTH."""
-    return max(1, min(MAX_WIDTH, BUDGET // draw.bytes(n, **keywords)))
+    return max(1, min(MAX_WIDTH, BUDGET // statistic.bytes(n, **keywords)))
 
 
 def _urn_bytes(n: int, steps=()) -> int:
     """Bytes per replicate of a statistic that reduces stepped blocks.
 
-    A block of urn uniforms and its stepped rows, tau's boolean hits, and
-    urn_snapshot's row of len(steps) values, twice: simulate concatenates it.
+    A block of urn uniforms and its stepped rows (or eta_count's block of
+    times and a comparison), tau's boolean hits, and urn_snapshot's row of
+    len(steps) values, twice: simulate concatenates it.
     """
     return 17 * min(BLOCK, n - 1) + 16 * len(steps) + 64
 
@@ -260,16 +266,16 @@ def _paths_times(n: int, chunk: tuple) -> tuple[np.ndarray, np.ndarray]:
     return paths, _times(n, w)[:, ::-1]
 
 
-def _whole(reduce: Callable[..., np.ndarray]) -> Draw:
+def _whole(reduce: Callable[..., np.ndarray], *rest, **fields) -> Statistic:
     """An L-family statistic: reduce(n, paths, t, **keywords) on whole paths and times.
 
     Bytes: int32 paths (4n), float64 times (8n), a block of uniforms and its
     urn rows, and L_hat's increments and weights (16n), the largest of the
-    family's reductions.
+    family's reductions.  rest and fields are the Statistic's other fields.
     """
-    return Draw(lambda n, chunk, **keywords: reduce(n, *_paths_times(n, chunk), **keywords),
-                lambda n, **_: 28 * (n + 1) + 8 * min(BLOCK, 2 * (n - 1))
-                + 8 * min(BLOCK, n - 1) + 64)
+    return Statistic(lambda n, chunk, **keywords: reduce(n, *_paths_times(n, chunk), **keywords),
+                     lambda n, **_: 28 * (n + 1) + 8 * min(BLOCK, 2 * (n - 1))
+                     + 8 * min(BLOCK, n - 1) + 64, *rest, **fields)
 
 
 def _window(n: int, t: np.ndarray, x: np.ndarray, alpha: float, beta: float) -> np.ndarray:
@@ -325,64 +331,41 @@ def _snapshot(n: int, chunk: tuple, steps) -> np.ndarray:
         now = (steps > first) & (steps <= first + len(block))
         out[:, now] = block[steps[now] - first - 1].T
 
-    _urn_paths(n, chunk, min(int(steps.max()), n - 1), take)
+    _urn_paths(n, chunk, int(steps[steps < n].max(initial=0)), take)
     return out
-
-
-def _eta_band(n: int, chunk: tuple, a: float, b: float) -> tuple[int, np.ndarray]:
-    """The time columns lo.. that hold some row's point sqrt(n) T_k in [a, b), and their mask.
-
-    Column j of the times is level k = n-1-j, drawn after the n-1 urn
-    uniforms of each stream and transformed a block at a time.  T_k rises
-    as k falls, so a row's points rise along it, and drawing stops once
-    every row is past b.  The mask has one row per column lo, lo+1, ... and
-    one column per replicate; it is empty, with lo = 0, if no point is in
-    [a, b).
-    """
-    steps, count = n - 1, chunk[3]
-    pieces, prior = [], None  # (column, mask) from a block's first to its last column in [a, b)
-    for first in range(0, steps, BLOCK):
-        t = _times(n, _uniform_rows(*chunk, min(BLOCK, steps - first), steps + first),
-                   first, prior)
-        prior = t[:, -1].copy()
-        t *= math.sqrt(n)  # the scaled points
-        inside = t >= a
-        inside &= t < b
-        now = np.flatnonzero(inside.any(axis=0))
-        if now.size:
-            pieces.append((first + now[0], inside[:, now[0]:now[-1] + 1].T.copy()))
-        if (t[:, -1] >= b).all():
-            break
-        del t, inside  # before the next block is drawn
-    if not pieces:
-        return 0, np.zeros((0, count), dtype=bool)
-    lo = pieces[0][0]
-    mask = np.zeros((pieces[-1][0] + len(pieces[-1][1]) - lo, count), dtype=bool)
-    for column, piece in pieces:
-        mask[column - lo:column - lo + len(piece)] = piece
-    return lo, mask
 
 
 def _eta_count(n: int, chunk: tuple, a: float, b: float) -> np.ndarray:
     """Merge counts X_k summed over the levels k with sqrt(n) T_k in [a, b).
 
-    The chain is stepped to the end of the band and kept on it only: time
-    column j is level k = n-1-j, where X_k = 1 + U_(j+1) - U_j.
+    Time column j, drawn after the n-1 urn uniforms and transformed a block
+    at a time, is level k = n-1-j, where X_k = 1 + U_(j+1) - U_j.  A row's
+    points rise along it, so its columns in [a, b) are c_a..c_b-1, with c_a
+    and c_b its points below a and below b, and their X_k telescope to
+    c_b - c_a + U_(c_b) - U_(c_a).  Drawing stops once every row is past b.
     """
-    lo, mask = _eta_band(n, chunk, a, b)
-    hi = lo + len(mask)
-    u = np.zeros((len(mask) + 1, chunk[3]), dtype=np.int32)  # U_lo..U_hi; U_0 = 0
+    steps, count = n - 1, chunk[3]
+    ends, prior = np.zeros((2, count), dtype=np.int64), None  # c_a and c_b per row
+    for first in range(0, steps, BLOCK):
+        t = _times(n, _uniform_rows(*chunk, min(BLOCK, steps - first), steps + first),
+                   first, prior)
+        prior = t[:, -1].copy()
+        t *= math.sqrt(n)  # the scaled points
+        ends[0] += np.count_nonzero(t < a, axis=1)
+        ends[1] += np.count_nonzero(t < b, axis=1)
+        past = (t[:, -1] >= b).all()
+        del t  # before the next block is drawn or the chain is stepped
+        if past:
+            break
+    ends *= ends[0] < ends[1]  # rows with no point in [a, b) read U_0 = 0
+    u = np.zeros((2, count))  # U_(c_a) and U_(c_b)
 
     def take(first, block):
-        i, j = max(lo, first + 1), min(hi, first + len(block))  # the band's steps here
-        if i <= j:
-            np.copyto(u[i - lo:j - lo + 1], block[i - first - 1:j - first], casting="unsafe")
+        now = (ends > first) & (ends <= first + len(block))
+        u[now] = block[ends[now] - first - 1, np.nonzero(now)[1]]
 
-    _urn_paths(n, chunk, hi, take)
-    x = np.diff(u, axis=0)
-    x += 1
-    x *= mask
-    return x.sum(axis=0).astype(float)
+    _urn_paths(n, chunk, int(ends.max()), take)
+    return ends[1] - ends[0] + (u[1] - u[0])
 
 
 def _check_exponents(n: int, alpha: float, beta: float) -> None:
@@ -405,39 +388,28 @@ def _check_windows(n: int, window1, window2) -> None:
     check_window(*window2)
 
 
-class Statistic(NamedTuple):
-    draw: Draw
-    keywords: tuple[str, ...] = ()
-    check: Callable[..., None] = lambda n: None  # check(n, **keywords) raises ValueError
-    two_d: bool = False  # one row of values per replicate, not one value
-
-
 STATISTICS: dict[str, Statistic] = {
-    "L": Statistic(_whole(lambda n, paths, t: (t * _merge_counts(paths)).sum(axis=1))),
-    "L_window": Statistic(_whole(lambda n, paths, t, alpha, beta:
-                                 _window(n, t, _merge_counts(paths), alpha, beta)),
-                          ("alpha", "beta"), _check_exponents),
-    "L_hat": Statistic(_whole(_hat_length), ("alpha", "beta"), _check_exponents),
-    "tau": Statistic(Draw(_tau, _urn_bytes)),
-    "rho": Statistic(Draw(lambda n, chunk: _rho_inverse_cdf(n, _uniform_rows(*chunk, 1)[:, 0])
-                          .astype(float), lambda n: HEAD_BYTES)),
-    "R": Statistic(Draw(_r, lambda n: 8 * n + HEAD_BYTES)),
-    "urn_marginal": Statistic(Draw(lambda n, chunk, k: _snapshot(n, chunk, [k])[:, 0],
-                                   lambda n, k: _urn_bytes(n, [k])),
-                              ("k",), lambda n, k: _check_steps(n, [k])),
-    # eta_count's band of at most n-1 levels: its mask (n), U as int32 (4n)
-    # and the merge counts (4n), or the mask's pieces while they are joined
-    "eta_count": Statistic(Draw(_eta_count, lambda n, a, b: _urn_bytes(n) + 9 * n),
-                           ("a", "b"), _check_interval),
-    "urn_snapshot": Statistic(Draw(_snapshot, _urn_bytes), ("steps",), _check_steps, two_d=True),
-    "window_pair": Statistic(_whole(_window_pair), ("window1", "window2"),
-                             _check_windows, two_d=True),
+    "L": _whole(lambda n, paths, t: (t * _merge_counts(paths)).sum(axis=1)),
+    "L_window": _whole(lambda n, paths, t, alpha, beta:
+                       _window(n, t, _merge_counts(paths), alpha, beta),
+                       ("alpha", "beta"), _check_exponents),
+    "L_hat": _whole(_hat_length, ("alpha", "beta"), _check_exponents),
+    "tau": Statistic(_tau, _urn_bytes),
+    "rho": Statistic(lambda n, chunk: _rho_inverse_cdf(n, _uniform_rows(*chunk, 1)[:, 0])
+                     .astype(float), lambda n: HEAD_BYTES),
+    "R": Statistic(_r, lambda n: 8 * n + HEAD_BYTES),
+    "urn_marginal": Statistic(lambda n, chunk, k: _snapshot(n, chunk, [k])[:, 0],
+                              lambda n, k: _urn_bytes(n, [k]), ("k",),
+                              lambda n, k: _check_steps(n, [k])),
+    "eta_count": Statistic(_eta_count, lambda n, a, b: _urn_bytes(n), ("a", "b"), _check_interval),
+    "urn_snapshot": Statistic(_snapshot, _urn_bytes, ("steps",), _check_steps, two_d=True),
+    "window_pair": _whole(_window_pair, ("window1", "window2"), _check_windows, two_d=True),
 }
 
 
 def _chunk_kernel(statistic: str, n: int, seed: int, stream_id: int,
                   start: int, count: int, params: dict) -> np.ndarray:
-    return STATISTICS[statistic].draw.values(n, (seed, stream_id, start, count), **params)
+    return STATISTICS[statistic].values(n, (seed, stream_id, start, count), **params)
 
 
 def _usable_cpus() -> int:
@@ -447,10 +419,14 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _check_count(name: str, value, least: int) -> None:
+    if not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 def check_threads(threads) -> None:
     """Refuse a worker count that is not an integer >= 1."""
-    if not isinstance(threads, (int, np.integer)) or threads < 1:
-        raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
+    _check_count("threads", threads, 1)
 
 
 def simulate(statistic: str, n: int, reps: int, seed: int, *,
@@ -464,10 +440,8 @@ def simulate(statistic: str, n: int, reps: int, seed: int, *,
     CPUs this process may use; it never changes the output.
     """
     check_threads(threads)
-    if n < 2:
-        raise ValueError("sample size must be at least 2")
-    if reps < 1:
-        raise ValueError("need at least one replicate")
+    _check_count("sample size n", n, 2)
+    _check_count("reps", reps, 1)
     spec = STATISTICS.get(statistic)
     if spec is None:
         raise ValueError(f"unknown statistic {statistic!r}")
@@ -476,7 +450,7 @@ def simulate(statistic: str, n: int, reps: int, seed: int, *,
                          f"got {sorted(params)}")
     spec.check(n, **params)
     replicate_key(seed, reps - 1, stream_id)  # rejects a bad stream id or too many reps
-    count = -(-reps // _width(spec.draw, n, **params))  # chunks
+    count = -(-reps // _width(spec, n, **params))  # chunks
     workers = min(threads, count, _usable_cpus())
     if workers > 1:  # the same number of chunks per worker, at least two
         count = min(reps, workers * max(2, -(-count // workers)))

@@ -32,7 +32,7 @@ def test_repeatable():
 
 def width(stat, n, **params):
     """Replicates per chunk that the byte budget gives stat at n, with no pool."""
-    return batch._width(batch.STATISTICS[stat].draw, n, **params)
+    return batch._width(batch.STATISTICS[stat], n, **params)
 
 
 def test_replicate_count_extension():
@@ -102,11 +102,19 @@ def invariance_params(stat, n):
 
 
 def edge_cases(n):
-    """(statistic, params) at the ends of eta_count's band, of the horizon and of a block."""
+    """(statistic, params) at the ends of eta_count's levels, of the horizon and of a block.
+
+    Replicate 0 has c points below cut(c), for c in 0..n-1: time column c
+    is level n-1-c, and eta_count reads U_(c_a) and U_(c_b).
+    """
     rng = replicate_stream(SEED, 0)
     urn.sample_urn_path(n, rng)
     points = coalescent.sample_waiting_times(n, rng).t * math.sqrt(n)  # points[k] at level k
-    cases = [("eta_count", {"a": 1e6, "b": 2e6}),  # no point reaches a: an empty band
+
+    def cut(c):
+        return points[n - 1 - c] * (1 - 1e-9) if c < n - 1 else 1e12
+
+    cases = [("eta_count", {"a": 1e6, "b": 2e6}),  # no point reaches a: no level
              ("eta_count", {"a": 1e-12, "b": 2e-12}),  # every point is past b at once
              ("eta_count", {"a": 1e-12, "b": 1e12}),  # every level, from n-1 down to 1
              ("urn_marginal", {"k": 0}), ("urn_marginal", {"k": n})]
@@ -116,6 +124,10 @@ def edge_cases(n):
             # replicate 0 has points at time columns edge-1 and edge: levels n-edge and n-edge-1
             cases.append(("eta_count", {"a": points[n - edge] * (1 - 1e-9),
                                         "b": points[n - edge - 1] * (1 + 1e-9)}))
+            cases.append(("eta_count", {"a": 1e-12, "b": cut(edge)}))  # c_b = edge
+            cases.append(("eta_count", {"a": cut(edge), "b": cut(edge + 1)}))  # c_a = edge
+        if edge + 1 < n - 1:
+            cases.append(("eta_count", {"a": cut(edge + 1), "b": 1e12}))  # c_a = edge + 1
         if edge <= n:
             cases.append(("urn_snapshot", {"steps": [edge]}))  # the horizon ends on the edge
             steps |= {edge, edge + 1} & set(range(n + 1))
@@ -147,10 +159,12 @@ def test_width_and_block_invariance(monkeypatch):
 def test_chunks_stay_within_the_byte_budget(monkeypatch):
     # The traced peak of one chunk of the full width stays within the budget
     # plus a few length-n vectors that a chunk shares among its replicates
-    # (the level and rate arrays), so each Draw kind's byte count is honest.
+    # (the level and rate arrays), so each statistic's stated bytes are
+    # honest.  With no cap on the width, every width comes from those bytes.
     n, budget = 5000, 4 << 20
     slack = 8 * 8 * n + (64 << 10)
     monkeypatch.setattr(batch, "BUDGET", budget)
+    monkeypatch.setattr(batch, "MAX_WIDTH", 1 << 40)
     cases = [(stat, invariance_params(stat, n)) for stat in batch.STATISTICS]
     cases.append(("urn_snapshot", {"steps": range(n + 1)}))  # a row of n+1 values per replicate
     tracemalloc.start()
@@ -168,14 +182,17 @@ def test_chunks_stay_within_the_byte_budget(monkeypatch):
 
 def test_block_reducers_hold_memory_flat_in_n():
     # tau, urn_snapshot and eta_count reduce each block as it is stepped, so
-    # one chunk's traced peak per replicate does not grow with n
+    # one chunk's traced peak per replicate does not grow with n.  Each steps
+    # the chain past a block at both n: urn_snapshot stops at its last step
+    # below n.
     reps = 256  # one chunk at both n
     tracemalloc.start()
     try:
         for stat in ("tau", "urn_snapshot", "eta_count"):
             peaks = []
             for n in (2000, 20_000):
-                params = {"a": 1.0, "b": 2.0} if stat == "eta_count" else invariance_params(stat, n)
+                params = {"tau": {}, "urn_snapshot": {"steps": [1, n - 1, n]},
+                          "eta_count": {"a": 1.0, "b": 2.0}}[stat]
                 tracemalloc.reset_peak()
                 before = tracemalloc.get_traced_memory()[0]
                 batch.simulate(stat, n, reps, SEED, **params)
@@ -201,8 +218,8 @@ def test_width_at_a_million_fits_the_budget():
     n = 10 ** 6
     for stat, spec in batch.STATISTICS.items():
         params = invariance_params(stat, n)
-        w = batch._width(spec.draw, n, **params)
-        assert w >= 1 and w * spec.draw.bytes(n, **params) <= batch.BUDGET, stat
+        w = batch._width(spec, n, **params)
+        assert w >= 1 and w * spec.bytes(n, **params) <= batch.BUDGET, stat
 
 
 def test_pool_size_is_capped_by_chunks_and_cpus(monkeypatch):
@@ -413,6 +430,9 @@ BAD_INPUTS = [
     (("L", 10, 10), {"threads": 0}),
     (("L", 10, 10), {"threads": -3}),
     (("L", 10, 10), {"threads": 1.5}),
+    (("rho", 3.5, 10), {}),
+    (("L", 50.0, 10), {}),
+    (("L", 10, 10.5), {}),
 ]
 
 
