@@ -5,41 +5,25 @@ statistic simulated here is bitwise reproducible for a given (seed, n,
 reps), whatever the chunk width, the block size or the thread count.  A
 chunk draws the bits of rng.replicate_stream: one vectorized Philox over
 the chunk's keys for stream heads (draws within the first Philox block),
-one Philox re-keyed per replicate for longer draws.
+one Philox re-keyed per replicate for longer draws.  The per-replicate
+draw order matches the scalar samplers in urn.py and coalescent.py: the
+n-1 urn-transition uniforms, then the n-1 waiting-time uniforms in
+descending k (R draws rho's uniform, then the time uniforms it reads).
 
-The urn chain is stepped a block of BLOCK draws at a time: a block's
-uniforms are taken at their offset in every replicate's stream (a Philox
-stream is addressed by its counter), transposed, and stepped in place on
-contiguous rows.  Each stepped (step, replicate) block is handed to the
-statistic's reducer, and the chain stops after the last step the
-statistic reads: tau counts hits on a line, urn_snapshot and urn_marginal
-copy rows, and eta_count copies two states per replicate, at the ends of
-the run of levels whose scaled times fall in its interval (their merge
-counts telescope).  Only the L family (L, L_window, L_hat, window_pair),
-whose float sums run over whole rows, copies the blocks back into whole
-paths.
-
-A chunk's width is set by a byte budget: each statistic states the bytes
-one replicate holds, reduction included, and a chunk takes as many
-replicates as the budget holds, at most MAX_WIDTH.
-
-With threads > 1, chunks run on forked worker processes, at most one per
-usable CPU, and each worker is given the same number of chunks, at least
-two: the chunk kernel is many small numpy steps that hold the
-interpreter lock, so threads would only take turns.  A worker receives a
-chunk's (seed, stream_id, start, count) and returns its values, which are
-concatenated in chunk order.
-
-The per-replicate draw order matches the scalar samplers in urn.py and
-coalescent.py: first the n-1 urn-transition uniforms, then (if the
-statistic needs times) the n-1 waiting-time uniforms in descending k.
-eta_count reads its times before it steps the chain, each block from its
-offset.  R draws rho's uniform, then only the n - rho time uniforms that
-reach T_rho, ragged rows sorted by descending n - rho (see _r).
+The urn chain is stepped a block of BLOCK draws at a time on contiguous
+rows, and each stepped block is handed to the statistic's reducer (see
+_urn_paths); only the L family (L, L_window, L_hat, window_pair), whose
+float sums run over whole rows, copies the blocks back into whole paths.
 
 Every statistic is one Statistic record in STATISTICS: how a chunk draws
-and reduces its replicates, the bytes that takes, its keywords and their
-check.
+and reduces its replicates, its keywords and their check, and the bytes
+one replicate holds, which set a chunk's width: as many replicates as
+BUDGET holds, at most MAX_WIDTH.
+
+simulate is plan, run, concatenate: plan checks the arguments and cuts the
+replicates into chunk tasks, and run puts any list of tasks (verify adds
+its exact checks) on one pool of forked processes.  A chunk kernel is many
+small numpy steps that hold the interpreter lock: threads would take turns.
 """
 
 from __future__ import annotations
@@ -419,29 +403,28 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _check_count(name: str, value, least: int) -> None:
-    if not isinstance(value, (int, np.integer)) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+def _check_count(name: str, value, least: int, most: float = math.inf) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+            or not least <= value <= most:
+        raise ValueError(f"{name} must be an integer in [{least}, {most}], got {value!r}")
 
 
-def check_threads(threads) -> None:
-    """Refuse a worker count that is not an integer >= 1."""
+# fn(*args) for run, with its cost in replicate levels stepped, or as many as take as long
+Task = NamedTuple("Task", [("cost", float), ("fn", Callable), ("args", tuple)])
+
+
+def _call(task: Task):
+    return task.fn(*task.args)
+
+
+def plan(statistic: str, n: int, reps: int, seed: int, *,
+         threads: int = 1, stream_id: int = 0, **params) -> list[Task]:
+    """The chunk tasks of simulate(...), after every check of its arguments; with
+    min(threads, chunks, usable CPUs) > 1 workers, each gets as many chunks, at least two."""
     _check_count("threads", threads, 1)
-
-
-def simulate(statistic: str, n: int, reps: int, seed: int, *,
-             threads: int = 1, stream_id: int = 0, **params) -> np.ndarray:
-    """Simulate one value (or row) per replicate.
-
-    Returns a 1-D array of length reps, or 2-D (reps, d) for the
-    statistics marked two_d (urn_snapshot, window_pair).  The statistic
-    and its keywords are checked before anything is drawn.  threads is
-    the number of worker processes, capped at the chunk count and at the
-    CPUs this process may use; it never changes the output.
-    """
-    check_threads(threads)
     _check_count("sample size n", n, 2)
     _check_count("reps", reps, 1)
+    _check_count("seed", seed, 0, 2 ** 64 - 1)
     spec = STATISTICS.get(statistic)
     if spec is None:
         raise ValueError(f"unknown statistic {statistic!r}")
@@ -449,23 +432,42 @@ def simulate(statistic: str, n: int, reps: int, seed: int, *,
         raise ValueError(f"{statistic} takes keywords {list(spec.keywords)}, "
                          f"got {sorted(params)}")
     spec.check(n, **params)
+    seed = int(seed)  # rng masks it with a Python int
     replicate_key(seed, reps - 1, stream_id)  # rejects a bad stream id or too many reps
     count = -(-reps // _width(spec, n, **params))  # chunks
     workers = min(threads, count, _usable_cpus())
-    if workers > 1:  # the same number of chunks per worker, at least two
+    if workers > 1:
         count = min(reps, workers * max(2, -(-count // workers)))
     size, extra = divmod(reps, count)  # equal chunks: no short one at the end
-    chunks = [(statistic, n, seed, stream_id, i * size + min(i, extra), size + (i < extra), params)
-              for i in range(count)]
-    if workers > 1:
-        import multiprocessing  # here, so that importing kingman does not pay for it
-        from concurrent.futures import ProcessPoolExecutor
+    return [Task((size + (i < extra)) * n, _chunk_kernel, (statistic, n, seed, stream_id,
+                 i * size + min(i, extra), size + (i < extra), params)) for i in range(count)]
 
-        if "fork" in multiprocessing.get_all_start_methods():
+
+def run(tasks: list[Task], threads: int = 1) -> list:
+    """Each task's result, in task order: on one pool of min(threads, tasks, usable CPUs)
+    forked processes, biggest stated cost first, or with one worker here, in task order."""
+    _check_count("threads", threads, 1)
+    workers = min(threads, len(tasks), _usable_cpus())
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # here, not when kingman is imported
+        from multiprocessing import get_all_start_methods, get_context
+
+        if "fork" in get_all_start_methods():
             # fork: workers share the imported modules instead of importing them again
-            context = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(workers, mp_context=context) as pool:
-                # map takes one iterable per argument and yields in chunk order
-                pieces = list(pool.map(_chunk_kernel, *zip(*chunks)))
-            return np.concatenate(pieces, axis=0)
-    return np.concatenate([_chunk_kernel(*chunk) for chunk in chunks], axis=0)
+            order = sorted(range(len(tasks)), key=lambda i: -tasks[i].cost)
+            with ProcessPoolExecutor(workers, mp_context=get_context("fork")) as pool:
+                # map yields in submission order, and cancels the rest on an exception
+                done = dict(zip(order, pool.map(_call, [tasks[i] for i in order])))
+            return [done[i] for i in range(len(tasks))]
+    return [_call(task) for task in tasks]
+
+
+def simulate(statistic: str, n: int, reps: int, seed: int, *,
+             threads: int = 1, stream_id: int = 0, **params) -> np.ndarray:
+    """One value per replicate (a row for the statistics marked two_d): run(plan(...)).
+
+    The statistic, its keywords and the seed, an integer in 0..2^64-1, are
+    checked before anything is drawn.  threads never changes the output.
+    """
+    tasks = plan(statistic, n, reps, seed, threads=threads, stream_id=stream_id, **params)
+    return np.concatenate(run(tasks, threads), axis=0)

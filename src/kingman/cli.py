@@ -112,7 +112,7 @@ def cmd_moments(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    reports = verify.run_suite(args.suite, seed=args.seed, threads=args.threads)
+    reports, _ = verify.run_suite(args.suite, seed=args.seed, threads=args.threads)
     lines = [r.to_json() for r in reports]
     passed = sum(r.passed for r in reports)
     total = len(reports)

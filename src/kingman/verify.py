@@ -2,20 +2,22 @@
 
 The exact suite proves finite-n identities outright (no randomness).  The
 statistical suite runs seeded Monte Carlo at desk scale with pinned
-thresholds: each criterion draws its sample as an array from
-batch.simulate and hands it, or a transform of it, straight to a gate in
-stats.  It is deterministic for a fixed seed and thread-independent.
+thresholds: each entry of CRITERIA names its stream id, its batch.simulate
+call and a reducer that hands the array, or a transform of it, straight to
+gates in stats.  It is deterministic for a fixed seed and thread-independent.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
 from . import batch, moments, stats, urn
-from .indexing import ceil_pow
+from .indexing import ceil_pow, floor_pow
 
 DEFAULT_SEED = 7
 
@@ -25,10 +27,8 @@ _S_TOTAL, _S_HAT, _S_ETA, _S_T4, _S_TAU, _S_R, _S_GP, _S_IND = range(1, 9)
 
 def _exact_report(name: str, violations: int, checks: int, seed: int,
                   params: dict | None = None) -> stats.TestReport:
-    p = dict(params or {})
-    p["checks"] = checks
-    return stats.TestReport(name, p, float(violations), float(violations),
-                            0.0, violations == 0, seed, 0)
+    return stats.TestReport(name, {**(params or {}), "checks": checks}, float(violations),
+                            float(violations), 0.0, violations == 0, seed, 0)
 
 
 # ------------------------------------------------------------- exact suite
@@ -155,20 +155,19 @@ def check_tau_tail(seed: int = DEFAULT_SEED) -> stats.TestReport:
     return _exact_report("tau_tail_exact", bad, checks, seed, {"n_max": 9})
 
 
-def exact_suite(seed: int = DEFAULT_SEED) -> list[stats.TestReport]:
-    return [
-        check_reversibility(seed),
-        check_chain_moments(seed),
-        check_hypergeometric(seed),
-        check_permutation_representation(seed),
-        check_box_scheme(seed),
-        check_variance_identity(seed),
-        check_martingale_identity(seed),
-        check_tau_tail(seed),
-    ]
-
-
 # ------------------------------------------------------- statistical suite
+
+# a stream id, a simulate call's arguments, and reduce(seed, n, sample, **keywords) -> reports
+Criterion = NamedTuple("Criterion", [("stream_id", int), ("statistic", str), ("n", int),
+                                     ("reps", int), ("keywords", dict), ("reduce", Callable)])
+
+
+def _truncated_length(seed: int, n: int, hat: np.ndarray, alpha: float, beta: float):
+    m = floor_pow(n, alpha)
+    mu, sig = float(moments.e_hat(n, m)), math.sqrt(float(moments.var_hat(n, m)))
+    return [stats.ks_test((hat - mu) / sig, stats.normal_cdf, name="truncated_length_normality",
+                          seed=seed, params={"n": n, "alpha": alpha})]
+
 
 def _poisson_support(mean: float) -> dict[int, float]:
     """Poisson(mean) on 0..39, with the tail mass from 40 on lumped at 40."""
@@ -177,9 +176,38 @@ def _poisson_support(mean: float) -> dict[int, float]:
     return probs
 
 
-def gp_check(n: int, grid: list[tuple[float, float]], reps: int, seed: int, *,
-             threads: int = 1, stream_id: int = 0) -> stats.TestReport:
-    """Covariance check of the centered, scaled chain against s^2 (1-t)^2.
+def _point_counts(seed: int, n: int, eta: np.ndarray, a: float, b: float):
+    lam = moments.poisson_mean(a, b)
+    return [stats.chi_square_gof(eta, _poisson_support(lam), name="scaled_point_counts_poisson",
+                                 seed=seed, params={"n": n, "a": a, "b": b, "mean": lam}),
+            stats.mean_test(eta, lam, lam, name="scaled_point_counts_mean",
+                            seed=seed, params={"n": n, "a": a, "b": b})]
+
+
+def _vanishing_window(stream_id: int, n: int, beta: float, reps: int) -> Criterion:
+    """P(short-window length > 0) against its exact finite-n bound.
+
+    The event {window length > 0} equals {V_m < m} with m = ceil(n**beta);
+    the bound is m(m-1)/(n-1), tested with a four-standard-error allowance.
+    """
+    if not 0 < beta < 0.5:
+        raise ValueError("need 0 < beta < 1/2")
+    m = ceil_pow(n, beta)
+    bound = float(Fraction(m * (m - 1), n - 1))
+
+    def reduce(seed, n, v_m, steps):
+        emp = float(np.mean(v_m[:, 0] < m))  # 0 at m = 1, as V_1 = 1
+        limit = bound + 4.0 * math.sqrt(bound * (1.0 - bound) / reps)
+        return [stats.TestReport("vanishing_window_bound",
+                                 {"n": n, "beta": beta, "m": m, "bound": bound},
+                                 emp, emp, limit, emp <= limit, seed, reps)]
+
+    return Criterion(stream_id, "urn_snapshot", n, reps, {"steps": [n - m]}, reduce)
+
+
+def _gp_covariance(stream_id: int, n: int, grid: list[tuple[float, float]],
+                   reps: int) -> Criterion:
+    """Covariance of the centered, scaled chain against s^2 (1-t)^2.
 
     Simulates W(t) = (U_(floor(nt)) - n t(1-t)) / sqrt(n) and requires every
     grid covariance within 0.01 + 4 MC standard errors of the limit, and
@@ -192,125 +220,95 @@ def gp_check(n: int, grid: list[tuple[float, float]], reps: int, seed: int, *,
     ts = sorted({v for st in grid for v in st})
     if any(not 0 < t < 1 for t in ts):
         raise ValueError("grid points must lie strictly inside (0, 1)")
+
+    def reduce(seed, n, snap, steps):
+        w = (snap - np.array([n * t * (1 - t) for t in ts])) / math.sqrt(n)
+        worst = -math.inf
+        for col in w.T:  # the grid points in order
+            se = float(np.std(col, ddof=1)) / math.sqrt(reps)
+            worst = max(worst, abs(float(np.mean(col))) - 4.0 * se)
+        for s, t in grid:
+            prod = w[:, ts.index(s)] * w[:, ts.index(t)]
+            emp = float(np.mean(prod))
+            se = float(np.std(prod, ddof=1)) / math.sqrt(reps)
+            worst = max(worst, abs(emp - moments.gp_cov(s, t)) - (0.01 + 4.0 * se))
+        return [stats.TestReport("gp_covariance", {"n": n, "grid": [list(p) for p in grid]},
+                                 worst, worst, 0.0, worst <= 0.0, seed, reps)]
+
     steps = [math.floor(n * t) for t in ts]
-    col = {t: i for i, t in enumerate(ts)}
-    snap = batch.simulate("urn_snapshot", n, reps, seed, threads=threads,
-                          stream_id=stream_id, steps=steps)
-    w = (snap - np.array([n * t * (1 - t) for t in ts])) / math.sqrt(n)
-    worst = -math.inf
-    for t in ts:
-        m = float(np.mean(w[:, col[t]]))
-        se = float(np.std(w[:, col[t]], ddof=1)) / math.sqrt(reps)
-        worst = max(worst, abs(m) - 4.0 * se)
-    for s, t in grid:
-        s, t = min(s, t), max(s, t)
-        prod = w[:, col[s]] * w[:, col[t]]
-        emp = float(np.mean(prod))
-        se = float(np.std(prod, ddof=1)) / math.sqrt(reps)
-        dev = abs(emp - moments.gp_cov(s, t)) - (0.01 + 4.0 * se)
-        worst = max(worst, dev)
-    return stats.TestReport("gp_covariance", {"n": n, "grid": [list(p) for p in grid]},
-                            worst, worst, 0.0, worst <= 0.0, seed, reps)
+    return Criterion(stream_id, "urn_snapshot", n, reps, {"steps": steps}, reduce)
+
+
+CRITERIA: tuple[Criterion, ...] = (
+    # total external length at n=50: mean exactly 2, Fu-Li variance
+    Criterion(_S_TOTAL, "L", 50, 100_000, {}, lambda seed, n, total: [
+        stats.mean_test(total, 2, moments.fu_li_var(n), name="total_length_mean", seed=seed,
+                        params={"n": n}),
+        stats.variance_test(total, moments.fu_li_var(n), 0.05, name="total_length_variance",
+                            seed=seed, params={"n": n})]),
+    # normality of the truncated length at n=50, alpha=1/2
+    Criterion(_S_HAT, "L_hat", 50, 10_000, {"alpha": 0.5, "beta": 1.0}, _truncated_length),
+    # Poisson counts of scaled branch lengths on [1, 2)
+    Criterion(_S_ETA, "eta_count", 10_000, 10_000, {"a": 1.0, "b": 2.0}, _point_counts),
+    _vanishing_window(_S_T4, 10_000, 0.25, 10_000),
+    # tau / sqrt(n) against the exp(-t^2) tail
+    Criterion(_S_TAU, "tau", 10_000, 10_000, {}, lambda seed, n, tau: [stats.ks_distance_test(
+        tau / math.sqrt(n), lambda t: 1.0 - moments.tau_limit_tail(max(t, 0.0)),
+        name="tau_limit_ks", seed=seed, d_max=0.03, params={"n": n})]),
+    # single random branch length: n R_n against the (x+2)^-3 law
+    Criterion(_S_R, "R", 1_000, 100_000, {}, lambda seed, n, r: [stats.ks_distance_test(
+        n * r, moments.r_limit_cdf, name="single_branch_limit_ks", seed=seed, d_max=0.05,
+        params={"n": n})]),
+    _gp_covariance(_S_GP, 2_000, [(s, t) for s in (0.25, 0.5, 0.75)
+                                  for t in (0.25, 0.5, 0.75) if s <= t], 10_000),
+    # asymptotic independence of adjacent windows
+    Criterion(_S_IND, "window_pair", 200, 10_000, {"window1": (0.5, 0.75), "window2": (0.75, 1.0)},
+              lambda seed, n, pair, **_: [stats.independence_check(
+                  pair[:, 0], pair[:, 1], name="window_independence", seed=seed,
+                  params={"n": n})]),
+)
+
+
+def _run(exact: list[batch.Task], criteria, seed: int, threads: int):
+    """The exact checks' reports, then each criterion's; and its sample by stream id."""
+    plans = [batch.plan(c.statistic, c.n, c.reps, seed, threads=threads,
+                        stream_id=c.stream_id, **c.keywords) for c in criteria]
+    results = iter(batch.run(exact + [task for tasks in plans for task in tasks], threads))
+    reports, samples = [next(results) for _ in exact], {}
+    for c, tasks in zip(criteria, plans):
+        samples[c.stream_id] = sample = np.concatenate([next(results) for _ in tasks], axis=0)
+        reports += c.reduce(seed, c.n, sample, **c.keywords)
+    return reports, samples
+
+
+def gp_check(n: int, grid: list[tuple[float, float]], reps: int, seed: int, *,
+             threads: int = 1, stream_id: int = 0) -> stats.TestReport:
+    """The Gaussian-process covariance criterion on its own (see _gp_covariance)."""
+    return _run([], [_gp_covariance(stream_id, n, grid, reps)], seed, threads)[0][0]
 
 
 def theorem4_bound_check(n: int, beta: float, reps: int, seed: int, *,
                          threads: int = 1, stream_id: int = 0) -> stats.TestReport:
-    """Check P(short-window length > 0) against its exact finite-n bound.
+    """The vanishing-window criterion on its own (see _vanishing_window)."""
+    return _run([], [_vanishing_window(stream_id, n, beta, reps)], seed, threads)[0][0]
 
-    The event {window length > 0} equals {V_m < m} with m = ceil(n**beta);
-    the bound is m(m-1)/(n-1), tested with a four-standard-error allowance.
+
+def run_suite(name: str, seed: int = DEFAULT_SEED, threads: int = 1):
+    """A suite's reports in their fixed order, and each criterion's sample by stream id.
+
+    The exact checks (first: each takes about as long as the largest chunk)
+    and every chunk of every criterion share one batch.run call, then the
+    criteria reduce here in table order, whichever task ended first.
     """
-    if not 0 < beta < 0.5:
-        raise ValueError("need 0 < beta < 1/2")
-    m = ceil_pow(n, beta)
-    bound = float(Fraction(m * (m - 1), n - 1))
-    if m == 1:
-        emp, allowance = 0.0, 0.0
-    else:
-        v_m = batch.simulate("urn_snapshot", n, reps, seed, threads=threads,
-                             stream_id=stream_id, steps=[n - m])[:, 0]
-        emp = float(np.mean(v_m < m))
-        allowance = 4.0 * math.sqrt(bound * (1.0 - bound) / reps)
-    limit = bound + allowance
-    return stats.TestReport("vanishing_window_bound",
-                            {"n": n, "beta": beta, "m": m, "bound": bound},
-                            emp, emp, limit, emp <= limit, seed, reps)
+    if name not in ("exact", "statistical", "all"):
+        raise ValueError(f"unknown suite {name!r}")
+    exact = (check_reversibility, check_chain_moments, check_hypergeometric,
+             check_permutation_representation, check_box_scheme, check_variance_identity,
+             check_martingale_identity, check_tau_tail) if name != "statistical" else ()
+    return _run([batch.Task(math.inf, check, (seed,)) for check in exact],
+                CRITERIA if name != "exact" else (), seed, threads)
 
 
-def statistical_suite(seed: int = DEFAULT_SEED, threads: int = 1) -> list[stats.TestReport]:
-    """Seeded Monte Carlo gates; each criterion draws on its own stream id."""
-
-    def draw(statistic: str, n: int, reps: int, stream_id: int, **params) -> np.ndarray:
-        return batch.simulate(statistic, n, reps, seed, threads=threads,
-                              stream_id=stream_id, **params)
-
-    reports: list[stats.TestReport] = []
-
-    # total external length at n=50: mean exactly 2, Fu-Li variance
-    n, reps = 50, 100_000
-    total = draw("L", n, reps, _S_TOTAL)
-    fl_var = moments.fu_li_var(n)
-    reports.append(stats.mean_test(total, 2, fl_var, name="total_length_mean",
-                                   seed=seed, params={"n": n}))
-    reports.append(stats.variance_test(total, fl_var, 0.05, name="total_length_variance",
-                                       seed=seed, params={"n": n}))
-
-    # normality of the truncated length at n=50, alpha=1/2
-    n, reps, m = 50, 10_000, 7
-    hat = draw("L_hat", n, reps, _S_HAT, alpha=0.5, beta=1.0)
-    mu, sig = float(moments.e_hat(n, m)), math.sqrt(float(moments.var_hat(n, m)))
-    reports.append(stats.ks_test((hat - mu) / sig, stats.normal_cdf,
-                                 name="truncated_length_normality", seed=seed,
-                                 params={"n": n, "alpha": 0.5}))
-
-    # Poisson counts of scaled branch lengths on [1, 2)
-    n, reps = 10_000, 10_000
-    eta = draw("eta_count", n, reps, _S_ETA, a=1.0, b=2.0)
-    lam = moments.poisson_mean(1.0, 2.0)
-    reports.append(stats.chi_square_gof(eta, _poisson_support(lam),
-                                        name="scaled_point_counts_poisson", seed=seed,
-                                        params={"n": n, "a": 1.0, "b": 2.0, "mean": lam}))
-    reports.append(stats.mean_test(eta, lam, lam, name="scaled_point_counts_mean",
-                                   seed=seed, params={"n": n, "a": 1.0, "b": 2.0}))
-
-    # short windows are empty: exact finite-n bound
-    reports.append(theorem4_bound_check(10_000, 0.25, 10_000, seed,
-                                        threads=threads, stream_id=_S_T4))
-
-    # tau / sqrt(n) against the exp(-t^2) tail
-    n, reps = 10_000, 10_000
-    tau = draw("tau", n, reps, _S_TAU)
-    reports.append(stats.ks_distance_test(
-        tau / math.sqrt(n), lambda t: 1.0 - moments.tau_limit_tail(max(t, 0.0)),
-        name="tau_limit_ks", seed=seed, d_max=0.03, params={"n": n}))
-
-    # single random branch length: n R_n against the (x+2)^-3 law
-    n, reps = 1_000, 100_000
-    r = draw("R", n, reps, _S_R)
-    reports.append(stats.ks_distance_test(n * r, moments.r_limit_cdf,
-                                          name="single_branch_limit_ks", seed=seed,
-                                          d_max=0.05, params={"n": n}))
-
-    # Gaussian-process covariance of the centered chain
-    grid = [(s, t) for s in (0.25, 0.5, 0.75) for t in (0.25, 0.5, 0.75) if s <= t]
-    reports.append(gp_check(2_000, grid, 10_000, seed,
-                            threads=threads, stream_id=_S_GP))
-
-    # asymptotic independence of adjacent windows
-    n, reps = 200, 10_000
-    pair = draw("window_pair", n, reps, _S_IND, window1=(0.5, 0.75), window2=(0.75, 1.0))
-    reports.append(stats.independence_check(pair[:, 0], pair[:, 1],
-                                            name="window_independence", seed=seed,
-                                            params={"n": n}))
-    return reports
-
-
-def run_suite(name: str, seed: int = DEFAULT_SEED, threads: int = 1) -> list[stats.TestReport]:
-    batch.check_threads(threads)  # before the exact suite, which never simulates
-    if name == "exact":
-        return exact_suite(seed)
-    if name == "statistical":
-        return statistical_suite(seed, threads)
-    if name == "all":
-        return exact_suite(seed) + statistical_suite(seed, threads)
-    raise ValueError(f"unknown suite {name!r}")
+def statistical_suite(seed: int = DEFAULT_SEED, threads: int = 1):
+    """run_suite("statistical", seed, threads): the seeded criteria alone."""
+    return run_suite("statistical", seed, threads)

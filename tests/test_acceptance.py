@@ -11,12 +11,14 @@ measurably different.  Those tests print the limit gate's verdict without
 asserting it and assert the same samples against exact finite-n values.
 """
 
+import concurrent.futures
 import hashlib
 import math
+import os
 
 import pytest
 
-from kingman import batch, cli, moments, stats, verify
+from kingman import cli, moments, stats, verify
 from kingman.indexing import floor_pow
 
 SEED = 7
@@ -26,27 +28,30 @@ REPORT_SHA256 = "a32cac8ac29502e923f5c816b7d557a736312a43c2f1a0bfb45ecb2ae65c236
 
 
 @pytest.fixture(scope="module")
-def exact_reports():
-    return {r.name: r for r in verify.exact_suite(SEED)}
+def suite():
+    """run_suite("all") at 2 threads: (reports by name, samples by stream id, pools started)."""
+    pools = []  # max_workers of every process pool the suite starts
 
-
-@pytest.fixture(scope="module")
-def drawn():
-    """What batch.simulate returned to the statistical suite, by stream id."""
-    return {}
-
-
-@pytest.fixture(scope="module")
-def stat_reports(drawn):
-    simulate = batch.simulate
-
-    def recording(*args, **kwargs):
-        drawn[kwargs.get("stream_id", 0)] = values = simulate(*args, **kwargs)
-        return values
+    class Recording(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            pools.append(max_workers)
+            super().__init__(max_workers, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(batch, "simulate", recording)
-        return {r.name: r for r in verify.statistical_suite(SEED, threads=2)}
+        mp.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        reports, samples = verify.run_suite("all", SEED, threads=2)
+    return {r.name: r for r in reports}, samples, pools
+
+
+@pytest.fixture(scope="module")
+def reports(suite):
+    return suite[0]
+
+
+@pytest.fixture(scope="module")
+def samples(suite):
+    """The sample each criterion drew, by stream id, as run_suite returned it."""
+    return suite[1]
 
 
 def verdict_line(number, label, report):
@@ -68,65 +73,65 @@ def show_limit(number, label, report):
     print(verdict_line(number, label, report) + " [limit law, not asserted]")
 
 
-def test_criterion_01_path_law_reversibility(exact_reports):
+def test_criterion_01_path_law_reversibility(reports):
     check(1, "path law equals its time reversal, n <= 9",
-          exact_reports["reversibility_exact"])
+          reports["reversibility_exact"])
 
 
-def test_criterion_02_chain_moments(exact_reports):
+def test_criterion_02_chain_moments(reports):
     check(2, "DP chain means/covariances equal closed forms, n <= 12",
-          exact_reports["chain_moments_exact"])
+          reports["chain_moments_exact"])
 
 
-def test_criterion_03_hypergeometric_marginal(exact_reports):
+def test_criterion_03_hypergeometric_marginal(reports):
     check(3, "chain marginal is the shifted hypergeometric, n <= 50",
-          exact_reports["hypergeometric_marginal_exact"])
+          reports["hypergeometric_marginal_exact"])
 
 
-def test_criterion_04_permutation_representation(exact_reports):
+def test_criterion_04_permutation_representation(reports):
     check(4, "permutation-pair enumeration reproduces the path law, n <= 6",
-          exact_reports["permutation_representation_exact"])
+          reports["permutation_representation_exact"])
 
 
-def test_criterion_05_box_scheme(exact_reports):
+def test_criterion_05_box_scheme(reports):
     check(5, "box-scheme enumeration equals the chain law, n <= 5",
-          exact_reports["box_scheme_exact"])
+          reports["box_scheme_exact"])
 
 
-def test_criterion_06_variance_identity(exact_reports):
+def test_criterion_06_variance_identity(reports):
     check(6, "truncated variance at m=1 equals total-length variance, n <= 10^4",
-          exact_reports["variance_identity_exact"])
+          reports["variance_identity_exact"])
 
 
-def test_criterion_07_martingale_identity(exact_reports):
+def test_criterion_07_martingale_identity(reports):
     check(7, "one-step conditional mean identity for all states, n <= 100",
-          exact_reports["martingale_identity_exact"])
+          reports["martingale_identity_exact"])
 
 
-def test_criterion_08_tau_tail(exact_reports):
+def test_criterion_08_tau_tail(reports):
     check(8, "product-formula tau tail equals enumeration, n <= 9",
-          exact_reports["tau_tail_exact"])
+          reports["tau_tail_exact"])
 
 
-def test_criterion_09_total_length_mean(stat_reports):
+def test_criterion_09_total_length_mean(reports):
     check(9, "total length mean 2 within 4 exact SE, n=50 reps=10^5",
-          stat_reports["total_length_mean"])
+          reports["total_length_mean"])
 
 
-def test_criterion_10_total_length_variance(stat_reports):
+def test_criterion_10_total_length_variance(reports):
     check(10, "total length variance within 5% of exact, n=50 reps=10^5",
-          stat_reports["total_length_variance"])
+          reports["total_length_variance"])
 
 
-def test_criterion_11_truncated_length_normality(stat_reports, drawn):
-    gate = stat_reports["truncated_length_normality"]
+def test_criterion_11_truncated_length_normality(reports, samples):
+    gate = reports["truncated_length_normality"]
     show_limit(11, "standardized truncated length vs N(0,1), KS p >= 0.001", gate)
     # The standardized law still has skewness ~0.47 at n=50 (0.25 at 500,
     # 0.20 at 5000), and no finite-n normality check is documented, so the
     # sample is held to its exact finite-n mean and variance instead.
     n, alpha = gate.params["n"], gate.params["alpha"]
     m = floor_pow(n, alpha)
-    hat = drawn[verify._S_HAT]
+    hat = samples[verify._S_HAT]
     mu, var = moments.e_hat(n, m), moments.var_hat(n, m)
     standardized = (hat - float(mu)) / math.sqrt(float(var))
     assert stats.ks_statistic(standardized, stats.normal_cdf) == gate.statistic
@@ -138,14 +143,14 @@ def test_criterion_11_truncated_length_normality(stat_reports, drawn):
                               seed=gate.seed, params={"n": n, "m": m}))
 
 
-def test_criterion_12_scaled_point_counts(stat_reports, drawn):
+def test_criterion_12_scaled_point_counts(reports, samples):
     label = "counts on [1,2) vs Poisson(3)"
-    show_limit(12, f"{label}: chi-square gate", stat_reports["scaled_point_counts_poisson"])
-    gate = stat_reports["scaled_point_counts_mean"]
+    show_limit(12, f"{label}: chi-square gate", reports["scaled_point_counts_poisson"])
+    gate = reports["scaled_point_counts_mean"]
     show_limit(12, f"{label}: mean gate", gate)
     n, a, b = gate.params["n"], gate.params["a"], gate.params["b"]
     exact = moments.e_eta_count(n, a, b)
-    report = stats.mean_test(drawn[verify._S_ETA], exact, name="scaled_point_counts_mean_exact",
+    report = stats.mean_test(samples[verify._S_ETA], exact, name="scaled_point_counts_mean_exact",
                              seed=gate.seed, params={"n": n, "a": a, "b": b})
     assert report.statistic == gate.statistic
     check(12, f"mean count on [1,2) within 4 SE of exact finite-n {exact:.6g}, n=10^4",
@@ -158,28 +163,28 @@ def test_criterion_12_scaled_point_counts(stat_reports, drawn):
     assert 0 < gaps[2] < gaps[1] < gaps[0] and gaps[2] < 0.02, gaps
 
 
-def test_criterion_13_vanishing_window_bound(stat_reports):
+def test_criterion_13_vanishing_window_bound(reports):
     check(13, "P(short-window length > 0) within exact bound + 4 SE",
-          stat_reports["vanishing_window_bound"])
+          reports["vanishing_window_bound"])
 
 
-def test_criterion_14_tau_limit(stat_reports):
+def test_criterion_14_tau_limit(reports):
     check(14, "tau/sqrt(n) vs 1 - exp(-t^2), KS distance <= 0.03",
-          stat_reports["tau_limit_ks"])
+          reports["tau_limit_ks"])
 
 
-def test_criterion_15_single_branch_limit(stat_reports):
+def test_criterion_15_single_branch_limit(reports):
     check(15, "n R_n vs 1 - 4/(x+2)^2, KS distance <= 0.05",
-          stat_reports["single_branch_limit_ks"])
+          reports["single_branch_limit_ks"])
 
 
-def test_criterion_16_gp_covariance(stat_reports):
+def test_criterion_16_gp_covariance(reports):
     check(16, "centered chain covariance vs s^2 (1-t)^2 on the grid",
-          stat_reports["gp_covariance"])
+          reports["gp_covariance"])
 
 
-def test_criterion_17_window_independence(stat_reports):
-    gate = stat_reports["window_independence"]
+def test_criterion_17_window_independence(reports):
+    gate = reports["window_independence"]
     show_limit(17, "adjacent-window correlation within 4/sqrt(reps) + 0.02", gate)
     # The exact correlation is -0.119 at n=200, -0.148 at 10^3 and -0.142 at
     # 3*10^3: it does not approach 0 monotonically, so no finite-n check of
@@ -198,7 +203,7 @@ def test_criterion_17_window_independence(stat_reports):
 
 def test_criterion_18_cli_determinism(tmp_path):
     outs = []
-    for tag, threads in (("a", 1), ("b", 1), ("c", 8)):
+    for tag, threads in (("a", 1), ("b", 2), ("c", 8)):
         path = tmp_path / f"report_{tag}.txt"
         code = cli.main(["verify", "--suite", "all", "--seed", "7",
                          "--threads", str(threads), "--out", str(path)])
@@ -210,3 +215,21 @@ def test_criterion_18_cli_determinism(tmp_path):
            f"equal to the pinned digest: {'PASS' if same and pinned else 'FAIL'}"
     print(line)
     assert same and pinned, line
+
+
+def test_suite_runs_on_one_pool(suite):
+    # every exact check and every chunk of every criterion shares one pool
+    assert suite[2] == ([2] if len(os.sched_getaffinity(0)) >= 2 else [])
+
+
+def test_worker_exceptions_reach_the_caller(monkeypatch):
+    def broken(*args):
+        raise RuntimeError("oracle failed")
+
+    # the forked workers inherit the patches; nothing broken is pickled
+    monkeypatch.setattr(verify.urn, "exact_path_law", broken)  # three exact checks
+    with pytest.raises(RuntimeError, match="oracle failed"):
+        verify.run_suite("exact", SEED, threads=2)
+    monkeypatch.setattr(verify.batch, "_urn_paths", broken)  # every chunk but R's
+    with pytest.raises(RuntimeError, match="oracle failed"):
+        verify.run_suite("statistical", SEED, threads=2)

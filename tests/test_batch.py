@@ -28,6 +28,8 @@ def test_repeatable():
     a = batch.simulate("L", 20, 300, SEED)
     b = batch.simulate("L", 20, 300, SEED)
     assert a.tobytes() == b.tobytes()
+    for seed in (np.int64(SEED), np.uint64(SEED)):  # numpy integers are seeds too
+        assert batch.simulate("L", 20, 300, seed).tobytes() == a.tobytes()
 
 
 def width(stat, n, **params):
@@ -433,6 +435,12 @@ BAD_INPUTS = [
     (("rho", 3.5, 10), {}),
     (("L", 50.0, 10), {}),
     (("L", 10, 10.5), {}),
+    (("rho", 10, True), {}),
+    (("L", 10, 10), {"threads": True}),
+    (("L", 20, 5), {"seed": 2 ** 64}),  # was masked to seed 0
+    (("L", 20, 5), {"seed": -1}),  # was masked to seed 2^64 - 1
+    (("L", 20, 5), {"seed": 7.5}),
+    (("L", 20, 5), {"seed": "7"}),
 ]
 
 
@@ -440,4 +448,4 @@ def test_input_validation(monkeypatch):
     monkeypatch.setattr(batch, "_uniform_rows", _no_draws)
     for args, params in BAD_INPUTS:
         with pytest.raises(ValueError):
-            batch.simulate(*args, SEED, **params)
+            batch.simulate(*args, **{"seed": SEED, **params})

@@ -43,6 +43,12 @@ def test_simulate_rejects_zero_threads():
                     "--threads", "0"]) == 2
 
 
+def test_simulate_rejects_seeds_outside_64_bits():
+    for seed in ("-1", str(2 ** 64)):
+        assert run_cli(["simulate", "--statistic", "L", "--n", "10", "--reps", "10",
+                        "--seed", seed]) == 2
+
+
 def test_simulate_requires_statistic_params():
     assert run_cli(["simulate", "--statistic", "urn_marginal", "--n", "10",
                     "--reps", "10"]) == 2
