@@ -3,7 +3,9 @@
 Each gate takes the sample as an array (one value per replicate, so
 reps = len(values)) and the seed that drew it, which the report records.
 All tests are deterministic given their sample (which is deterministic
-given a seed), and every report serializes to one JSON object.
+given a seed), and every report serializes to one strict-JSON object.
+scipy is imported inside ks_test and chi_square_gof, its only users, so that
+simulate, hist, moments and the exact checks start without loading it.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincc, kolmogorov
 
 P_FLOOR = 0.001
 MEAN_Z_MAX = 4.0
@@ -36,13 +37,18 @@ class TestReport:
         return json.dumps({
             "name": self.name,
             "params": {k: self.params[k] for k in sorted(self.params)},
-            "statistic": self.statistic,
-            "p_or_distance": self.p_or_distance,
-            "threshold": self.threshold,
+            "statistic": _json_float(self.statistic),
+            "p_or_distance": _json_float(self.p_or_distance),
+            "threshold": _json_float(self.threshold),
             "pass": self.passed,
             "seed": self.seed,
             "reps": self.reps,
-        }, sort_keys=False)
+        }, allow_nan=False)
+
+
+def _json_float(x: float):
+    """x, or "inf", "-inf" or "nan" for a non-finite x: strict JSON has no such number."""
+    return x if math.isfinite(x) else str(x)
 
 
 def ks_statistic(values: np.ndarray, cdf: Callable[[float], float]) -> float:
@@ -59,6 +65,8 @@ def ks_statistic(values: np.ndarray, cdf: Callable[[float], float]) -> float:
 def ks_test(values: np.ndarray, cdf: Callable[[float], float], *,
             name: str, seed: int, params: dict | None = None) -> TestReport:
     """KS test with an asymptotic p-value; passes when p >= P_FLOOR."""
+    from scipy.special import kolmogorov
+
     reps = len(values)
     if reps < 100:
         raise ValueError("KS test requires at least 100 replicates")
@@ -83,6 +91,8 @@ def chi_square_gof(values: np.ndarray, expected: Mapping, *,
     floats) summing to 1.  Cells are merged greedily from the high tail,
     then from the low tail, until every cell's expected mass is at least 5.
     """
+    from scipy.special import gammaincc
+
     floats = np.asarray(values, dtype=float)
     values = floats.astype(int)
     if np.any(values != floats):

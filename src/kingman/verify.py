@@ -281,18 +281,6 @@ def _run(exact: list[batch.Task], criteria, seed: int, threads: int):
     return reports, samples
 
 
-def gp_check(n: int, grid: list[tuple[float, float]], reps: int, seed: int, *,
-             threads: int = 1, stream_id: int = 0) -> stats.TestReport:
-    """The Gaussian-process covariance criterion on its own (see _gp_covariance)."""
-    return _run([], [_gp_covariance(stream_id, n, grid, reps)], seed, threads)[0][0]
-
-
-def theorem4_bound_check(n: int, beta: float, reps: int, seed: int, *,
-                         threads: int = 1, stream_id: int = 0) -> stats.TestReport:
-    """The vanishing-window criterion on its own (see _vanishing_window)."""
-    return _run([], [_vanishing_window(stream_id, n, beta, reps)], seed, threads)[0][0]
-
-
 def run_suite(name: str, seed: int = DEFAULT_SEED, threads: int = 1):
     """A suite's reports in their fixed order, and each criterion's sample by stream id.
 

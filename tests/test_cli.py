@@ -2,6 +2,11 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -175,3 +180,37 @@ def test_simulate_repeat_identical(tmp_path):
     assert run_cli(base + ["--out", str(a)]) == 0
     assert run_cli(base + ["--out", str(b)]) == 0
     assert read(a) == read(b)
+
+
+COLD_START = textwrap.dedent("""
+    import math, sys
+    import numpy as np
+    from kingman import cli, stats
+
+    out = sys.argv[1]
+    for argv in (["simulate", "--statistic", "L", "--n", "20", "--reps", "50"],
+                 ["moments", "--quantity", "fu_li_var", "--n", "50"],
+                 ["hist", "--statistic", "tau", "--n", "50", "--reps", "100", "--bins", "5"],
+                 ["verify", "--suite", "exact", "--threads", "1"]):
+        assert cli.main(argv + ["--out", out]) == 0, argv
+        assert "scipy.special" not in sys.modules, argv
+
+    values = np.linspace(0.0005, 0.9995, 1000) ** 1.1
+    ks = stats.ks_test(values, lambda x: x, name="ks", seed=0)
+    chi = stats.chi_square_gof(np.arange(400) % 4, {0: 0.2, 1: 0.3, 2: 0.25, 3: 0.25},
+                               name="chi", seed=0)
+    assert "scipy.special" in sys.modules
+    from scipy.special import gammaincc, kolmogorov
+    assert ks.p_or_distance == float(kolmogorov(math.sqrt(1000) * ks.statistic))
+    assert chi.p_or_distance == float(gammaincc((chi.params["cells"] - 1) / 2.0,
+                                                   chi.statistic / 2.0))
+""")
+
+
+def test_commands_without_p_values_start_without_scipy(tmp_path):
+    # a fresh interpreter: this one has scipy loaded already
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", COLD_START, str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

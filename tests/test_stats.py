@@ -115,13 +115,13 @@ def test_independence_check():
 
 
 def test_gp_check_passes_at_scale():
-    rep = verify.gp_check(1000, [(0.5, 0.5)], 4000, 99, stream_id=17)
+    [rep], _ = verify._run([], [verify._gp_covariance(17, 1000, [(0.5, 0.5)], 4000)], 99, 1)
     assert rep.passed
 
 
 def test_theorem_bound_check_input_validation():
     with pytest.raises(ValueError):
-        verify.theorem4_bound_check(1000, 0.7, 1000, 1)
+        verify._vanishing_window(0, 1000, 0.7, 1000)
 
 
 def test_normal_cdf():
@@ -138,6 +138,19 @@ def test_report_json_round_trip():
     assert obj["pass"] is True
     assert list(obj["params"]) == ["alpha", "n"]
     assert obj["seed"] == 7 and obj["reps"] == 100
+
+
+def test_report_json_is_strict_for_non_finite_values():
+    def refuse(token):
+        raise ValueError(f"not strict JSON: {token}")
+
+    rep = stats.mean_test(np.full(1000, 3.0), 2.0, name="m", seed=0)  # zero variance: z = inf
+    assert json.loads(rep.to_json(), parse_constant=refuse)["p_or_distance"] == "inf"
+    rep = stats.TestReport("demo", {"n": 5}, math.nan, 0.1 + 0.2, -math.inf, False, 7, 100)
+    line = rep.to_json()
+    obj = json.loads(line, parse_constant=refuse)
+    assert obj["statistic"] == "nan" and obj["threshold"] == "-inf"
+    assert '"p_or_distance": 0.30000000000000004,' in line  # finite values keep their bytes
 
 
 def test_independence_check_input_validation():
