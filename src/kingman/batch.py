@@ -10,10 +10,12 @@ draw order matches the scalar samplers in urn.py and coalescent.py: the
 n-1 urn-transition uniforms, then the n-1 waiting-time uniforms in
 descending k (R draws rho's uniform, then the time uniforms it reads).
 
-The urn chain is stepped a block of BLOCK draws at a time on contiguous
-rows, and each stepped block is handed to the statistic's reducer (see
-_urn_paths); only the L family (L, L_window, L_hat, window_pair), whose
-float sums run over whole rows, copies the blocks back into whole paths.
+The urn chain is drawn a block at a time, stepped a tile at a time: a
+block holds BLOCK draws per replicate, and each tile of TILE of its steps
+is transposed to contiguous rows, stepped in place and handed to the
+statistic's reducer (see _urn_paths); only the L family (L, L_window,
+L_hat, window_pair), whose float sums run over whole rows, copies the tiles
+back into whole paths.
 
 Every statistic is one Statistic record in STATISTICS: how a chunk draws
 and reduces its replicates, its keywords and their check, and the bytes
@@ -38,7 +40,7 @@ import numpy as np
 from .indexing import ceil_pow, check_window, floor_pow
 from .rng import replicate_key
 
-BLOCK = 2048  # draws per replicate taken at once; a multiple of 4, Philox's output block
+BLOCK = 1024  # draws per replicate taken at once; a multiple of 4, Philox's output block
 BUDGET = 192 << 20  # bytes one chunk may hold
 MAX_WIDTH = 1536  # replicates per chunk, however many the budget would hold
 TILE = 64  # rows or columns a tiled loop takes at once, so that they stay in cache
@@ -109,24 +111,25 @@ def _uniform_rows(seed: int, stream_id: int, start: int, count: int, draws: int,
 
 def _urn_paths(n: int, chunk: tuple, horizon: int, take: Callable[[int, np.ndarray], None],
                times: np.ndarray | None = None) -> None:
-    """Draw and step U_1..U_horizon of a chunk's replicates, handing each block to take.
+    """Draw and step U_1..U_horizon of a chunk's replicates, handing each tile to take.
 
-    chunk is (seed, stream_id, start, count).  take(first, block) is called
-    on each stepped block in order: block[j] holds U_(first+j+1) of every
+    chunk is (seed, stream_id, start, count).  take(first, tile) is called
+    on each stepped tile in order: tile[j] holds U_(first+j+1) of every
     replicate, and is overwritten once take returns.  With times, of shape
     (count, n-1) and only at horizon n-1, the n-1 waiting-time uniforms
     that follow the urn uniforms in each stream are copied into it from the
-    same pieces.  Draws are taken BLOCK at a time; a block's urn uniforms
-    are transposed, so each step works in place on contiguous rows, and
-    each row then holds the states it drove.  The state is float64 holding
-    exact integers (u(u-1) and u(balls-u) stay below 2^53), so the
-    thresholds are urn._float_thresholds' bit for bit.
+    same pieces.  The chain is drawn a block at a time, stepped a tile at a
+    time: BLOCK draws per row at once, whose urn uniforms are transposed
+    TILE columns at a time into one buffer, so each step works in place on
+    contiguous rows, and each row then holds the states it drove.  The state
+    is float64 holding exact integers (u(u-1) and u(balls-u) stay below
+    2^53), so the thresholds are urn._float_thresholds' bit for bit.
     """
     sub, mul, div, add = np.subtract, np.multiply, np.divide, np.add
     less, greater_equal = np.less, np.greater_equal
     count = chunk[3]
     total = horizon if times is None else horizon + n - 1
-    rows = np.empty((min(BLOCK, horizon), count))
+    buffer = np.empty((min(TILE, horizon), count))
     u = carry = np.zeros(count)
     down, stay = np.empty(count), np.empty(count)
     below, above = np.empty(count, dtype=bool), np.empty(count, dtype=bool)
@@ -135,23 +138,23 @@ def _urn_paths(n: int, chunk: tuple, horizon: int, take: Callable[[int, np.ndarr
         m = min(max(horizon - first, 0), w.shape[1])  # urn columns of this block
         if m < w.shape[1]:
             times[:, first + m - horizon:first + w.shape[1] - horizon] = w[:, m:]
-        block = rows[:m]
-        _copy_transposed(block, w[:, :m])
+        for a in range(0, m, TILE):
+            tile = buffer[:min(TILE, m - a)]
+            _copy_transposed(tile, w[:, a:a + len(tile)])
+            for j, row in enumerate(tile, first + a):  # from U_j to U_(j+1)
+                balls = n - j
+                pairs = float(balls * (balls - 1))  # twice the scalar sampler's denom
+                # positional out: keyword arguments cost more than a step's arithmetic
+                sub(u, 1.0, down); mul(down, u, down); div(down, pairs, down)
+                sub(balls, u, stay); mul(stay, u, stay); div(stay, pairs / 2, stay)
+                add(stay, down, stay)
+                less(row, down, below); greater_equal(row, stay, above)
+                sub(u, below, row); add(row, above, row)  # the row now holds U_(j+1)
+                u = row
+            np.copyto(carry, u)  # the next tile overwrites the buffer
+            u = carry
+            take(first + a, tile)
         del w  # before the next block is drawn
-        for j, row in enumerate(block):
-            balls = n - first - j
-            pairs = float(balls * (balls - 1))  # twice the scalar sampler's denom
-            # positional out: keyword arguments cost more than a step's arithmetic
-            sub(u, 1.0, down); mul(down, u, down); div(down, pairs, down)
-            sub(balls, u, stay); mul(stay, u, stay); div(stay, pairs / 2, stay)
-            add(stay, down, stay)
-            less(row, down, below); greater_equal(row, stay, above)
-            sub(u, below, row); add(row, above, row)  # the row now holds U_(k+1)
-            u = row
-        np.copyto(carry, u)  # the next block overwrites the rows
-        u = carry
-        if m:
-            take(first, block)
 
 
 def _copy_transposed(dst: np.ndarray, src: np.ndarray) -> None:
@@ -210,13 +213,13 @@ def _width(statistic: Statistic, n: int, **keywords) -> int:
 
 
 def _urn_bytes(n: int, steps=()) -> int:
-    """Bytes per replicate of a statistic that reduces stepped blocks.
+    """Bytes per replicate of a statistic that reduces stepped tiles.
 
-    A block of urn uniforms and its stepped rows (or eta_count's block of
-    times and a comparison), tau's boolean hits, and urn_snapshot's row of
-    len(steps) values, twice: simulate concatenates it.
+    A block of urn uniforms (or eta_count's block of times) and a
+    comparison's booleans, a stepped tile and tau's booleans on it, and
+    urn_snapshot's row of len(steps) values, twice: simulate concatenates it.
     """
-    return 17 * min(BLOCK, n - 1) + 16 * len(steps) + 64
+    return 9 * min(BLOCK, n - 1) + 9 * min(TILE, n - 1) + 16 * len(steps) + 64
 
 
 def _r(n: int, chunk: tuple) -> np.ndarray:
@@ -243,8 +246,8 @@ def _paths_times(n: int, chunk: tuple) -> tuple[np.ndarray, np.ndarray]:
     paths = np.zeros((chunk[3], n + 1), dtype=np.int32)
     w = np.empty((chunk[3], n - 1))
 
-    def take(first, block):
-        _copy_transposed(paths[:, first + 1:first + len(block) + 1], block)
+    def take(first, tile):
+        _copy_transposed(paths[:, first + 1:first + len(tile) + 1], tile)
 
     _urn_paths(n, chunk, n - 1, take, w)
     return paths, _times(n, w)[:, ::-1]
@@ -253,13 +256,13 @@ def _paths_times(n: int, chunk: tuple) -> tuple[np.ndarray, np.ndarray]:
 def _whole(reduce: Callable[..., np.ndarray], *rest, **fields) -> Statistic:
     """An L-family statistic: reduce(n, paths, t, **keywords) on whole paths and times.
 
-    Bytes: int32 paths (4n), float64 times (8n), a block of uniforms and its
-    urn rows, and L_hat's increments and weights (16n), the largest of the
-    family's reductions.  rest and fields are the Statistic's other fields.
+    Bytes: int32 paths (4n), float64 times (8n), a block of uniforms and a
+    stepped tile, and L_hat's increments and weights (16n), the largest of
+    the family's reductions.  rest and fields are the Statistic's other fields.
     """
     return Statistic(lambda n, chunk, **keywords: reduce(n, *_paths_times(n, chunk), **keywords),
                      lambda n, **_: 28 * (n + 1) + 8 * min(BLOCK, 2 * (n - 1))
-                     + 8 * min(BLOCK, n - 1) + 64, *rest, **fields)
+                     + 8 * min(TILE, n - 1) + 64, *rest, **fields)
 
 
 def _window(n: int, t: np.ndarray, x: np.ndarray, alpha: float, beta: float) -> np.ndarray:
@@ -299,21 +302,21 @@ def _tau_hits(n: int, first: int, block: np.ndarray) -> np.ndarray:
 def _tau(n: int, chunk: tuple) -> np.ndarray:
     hits = np.zeros(chunk[3], dtype=np.int64)
 
-    def take(first, block):
-        np.add(hits, _tau_hits(n, first, block), out=hits)
+    def take(first, tile):
+        np.add(hits, _tau_hits(n, first, tile), out=hits)
 
     _urn_paths(n, chunk, n - 1, take)
     return hits.astype(float)
 
 
 def _snapshot(n: int, chunk: tuple, steps) -> np.ndarray:
-    """U_s at each of the steps per replicate, copied as its block passes; U_0 = U_n = 0."""
+    """U_s at each of the steps per replicate, copied as its tile passes; U_0 = U_n = 0."""
     steps = np.asarray(steps, dtype=int)
     out = np.zeros((chunk[3], len(steps)))
 
-    def take(first, block):
-        now = (steps > first) & (steps <= first + len(block))
-        out[:, now] = block[steps[now] - first - 1].T
+    def take(first, tile):
+        now = (steps > first) & (steps <= first + len(tile))
+        out[:, now] = tile[steps[now] - first - 1].T
 
     _urn_paths(n, chunk, int(steps[steps < n].max(initial=0)), take)
     return out
@@ -344,9 +347,9 @@ def _eta_count(n: int, chunk: tuple, a: float, b: float) -> np.ndarray:
     ends *= ends[0] < ends[1]  # rows with no point in [a, b) read U_0 = 0
     u = np.zeros((2, count))  # U_(c_a) and U_(c_b)
 
-    def take(first, block):
-        now = (ends > first) & (ends <= first + len(block))
-        u[now] = block[ends[now] - first - 1, np.nonzero(now)[1]]
+    def take(first, tile):
+        now = (ends > first) & (ends <= first + len(tile))
+        u[now] = tile[ends[now] - first - 1, np.nonzero(now)[1]]
 
     _urn_paths(n, chunk, int(ends.max()), take)
     return ends[1] - ends[0] + (u[1] - u[0])

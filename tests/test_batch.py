@@ -141,21 +141,24 @@ def test_width_and_block_invariance(monkeypatch):
     # 2(n-1) = 12 fills one block at n = 7 and straddles two at n = 8; n-1 > 12
     # from n = 14.  The default BLOCK draws each replicate in one piece here.
     reps = 23
-    # R transforms TILE time columns at a time over the rows that still read
-    # them: at each n here its rows need from 1 to n-1 columns, and TILE = 1
-    # and 3 end prefixes on a tile edge
-    variants = [("MAX_WIDTH", 1), ("MAX_WIDTH", 7), ("MAX_WIDTH", 16),  # 2 chunks: 12 and 11
-                ("BLOCK", 4), ("BLOCK", 12)]
-    tiles = [("TILE", 1), ("TILE", 3), ("TILE", 64)]
+    # The urn chain is stepped TILE columns of a block at a time, and R
+    # transforms TILE time columns at a time over the rows that still read
+    # them (at each n here they need from 1 to n-1 columns): TILE = 1 and 3
+    # end tiles and prefixes on a tile edge, and with BLOCK = 12 and TILE = 5
+    # a tile ends early at each block edge.
+    variants = [{"MAX_WIDTH": 1}, {"MAX_WIDTH": 7}, {"MAX_WIDTH": 16},  # 2 chunks: 12 and 11
+                {"BLOCK": 4}, {"BLOCK": 12}, {"TILE": 1}, {"TILE": 3}, {"TILE": 64},
+                {"BLOCK": 12, "TILE": 5}]
     for n in (6, 7, 8, 14, 40):
         cases = [(stat, invariance_params(stat, n)) for stat in batch.STATISTICS]
         for stat, params in cases + edge_cases(n):
             expect = batch.simulate(stat, n, reps, SEED, **params).tobytes()
-            for name, value in variants + (tiles if stat == "R" else []):
+            for settings in variants:
                 with monkeypatch.context() as m:
-                    m.setattr(batch, name, value)
+                    for name, value in settings.items():
+                        m.setattr(batch, name, value)
                     got = batch.simulate(stat, n, reps, SEED, **params)
-                assert got.tobytes() == expect, (stat, n, name, value)
+                assert got.tobytes() == expect, (stat, n, settings)
 
 
 def test_chunks_stay_within_the_byte_budget(monkeypatch):
@@ -183,10 +186,11 @@ def test_chunks_stay_within_the_byte_budget(monkeypatch):
 
 
 def test_block_reducers_hold_memory_flat_in_n():
-    # tau, urn_snapshot and eta_count reduce each block as it is stepped, so
-    # one chunk's traced peak per replicate does not grow with n.  Each steps
-    # the chain past a block at both n: urn_snapshot stops at its last step
-    # below n.
+    # tau, urn_snapshot and eta_count reduce each tile as it is stepped, so
+    # one chunk's traced peak per replicate does not grow with n, and at the
+    # larger n it stays within twice a replicate's block of draws (8 * BLOCK
+    # bytes), the one large buffer.  Each steps the chain past a block at
+    # both n: urn_snapshot stops at its last step below n.
     reps = 256  # one chunk at both n
     tracemalloc.start()
     try:
@@ -200,6 +204,7 @@ def test_block_reducers_hold_memory_flat_in_n():
                 batch.simulate(stat, n, reps, SEED, **params)
                 peaks.append((tracemalloc.get_traced_memory()[1] - before) / reps)
             assert abs(peaks[1] / peaks[0] - 1) <= 0.1, (stat, peaks)
+            assert peaks[1] <= 16 * batch.BLOCK, (stat, peaks)
     finally:
         tracemalloc.stop()
 
