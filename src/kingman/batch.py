@@ -2,13 +2,14 @@
 
 Replicate r draws from its own counter-based stream (see rng.py), so any
 statistic simulated here is bitwise reproducible for a given (seed, n,
-reps), whatever the chunk width, the block size or the thread count.  A
-chunk draws the bits of rng.replicate_stream: one vectorized Philox over
-the chunk's keys for stream heads (draws within the first Philox block),
-one Philox re-keyed per replicate for longer draws.  The per-replicate
-draw order matches the scalar samplers in urn.py and coalescent.py: the
-n-1 urn-transition uniforms, then the n-1 waiting-time uniforms in
-descending k (R draws rho's uniform, then the time uniforms it reads).
+reps), whatever the chunk width, the block and tile sizes or the thread
+count.  A chunk draws the bits of rng.replicate_stream: one vectorized
+Philox over the chunk's keys for stream heads (draws within the first
+Philox block), one Philox re-keyed per replicate for longer draws.  The
+per-replicate draw order matches the scalar samplers in urn.py and
+coalescent.py: the n-1 urn-transition uniforms, then the n-1 waiting-time
+uniforms in descending k (R draws rho's uniform, then the time uniforms
+it reads).
 
 The urn chain is drawn a block at a time, stepped a tile at a time: a
 block holds BLOCK draws per replicate, and each tile of TILE of its steps
