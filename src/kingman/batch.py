@@ -5,7 +5,8 @@ statistic simulated here is bitwise reproducible for a given (seed, n,
 reps), whatever the chunk width, the block and tile sizes or the thread
 count.  A chunk draws the bits of rng.replicate_stream: one vectorized
 Philox over the chunk's keys for stream heads (draws within the first
-Philox block), one Philox re-keyed per replicate for longer draws.  The
+Philox block), and for longer draws one pooled Philox per replicate, which
+a chunk keys once and draws on from block to block.  The
 per-replicate draw order matches the scalar samplers in urn.py and
 coalescent.py: the n-1 urn-transition uniforms, then the n-1 waiting-time
 uniforms in descending k (R draws rho's uniform, then the time uniforms
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from collections.abc import Callable
 from typing import NamedTuple
 
@@ -41,11 +43,12 @@ import numpy as np
 from .indexing import ceil_pow, check_window, floor_pow
 from .rng import replicate_key
 
-BLOCK = 1024  # draws per replicate taken at once; a multiple of 4, Philox's output block
+BLOCK = 512  # draws per replicate taken at once; a multiple of 4, Philox's output block
 BUDGET = 192 << 20  # bytes one chunk may hold
 MAX_WIDTH = 1536  # replicates per chunk, however many the budget would hold
 TILE = 64  # rows or columns a tiled loop takes at once, so that they stay in cache
 HEAD_BYTES = 160  # per row in _philox_heads: its words, key, products' temporaries, heads
+STREAM_BYTES = 768  # per row of _STREAMS: a Philox, its Generator's random (tracemalloc: 720)
 
 # numpy's Philox4x64-10: the round multipliers and the key increments
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
@@ -75,6 +78,17 @@ def _philox_heads(seed: int, stream_id: int, start: int, rows: np.ndarray) -> np
     return np.stack([x0, x1, x2, x3], axis=1)
 
 
+class _Streams(threading.local):
+    """Per thread: a Philox and its Generator's random per row, grown to the widest chunk,
+    and the mark (seed, stream_id, start, count, offset) the rows continue from, or None."""
+
+    def __init__(self):
+        self.rows, self.mark = [], None
+
+
+_STREAMS = _Streams()
+
+
 def _uniform_rows(seed: int, stream_id: int, start: int, count: int, draws: int,
                   offset: int = 0, order: np.ndarray | None = None,
                   lengths: np.ndarray | None = None) -> np.ndarray:
@@ -83,30 +97,40 @@ def _uniform_rows(seed: int, stream_id: int, start: int, count: int, draws: int,
     order permutes 0..count-1 (default: the identity); with lengths, row p
     holds its first lengths[p] draws, then zeros.  Philox makes four 64-bit
     words per counter value and each draw takes one word.  Draws within the
-    first four words come from _philox_heads; longer ones re-key one Philox
-    per row, which starts at counter offset // 4 and skips offset % 4 words.
+    first four words come from _philox_heads; longer ones from this thread's
+    pooled Philox per row.  A call that continues the last identity-ordered
+    call of the same chunk draws on; any other re-keys the rows, each at
+    counter offset // 4, skipping offset % 4 words: the same words.
     """
     rows = np.arange(count) if order is None else order
-    if offset + draws <= 4:  # past one block a row, re-keying is the faster
-        replicate_key(seed, start + count - 1, stream_id)  # the key range of every row
+    replicate_key(seed, start + count - 1, stream_id)  # the key range of every row
+    if offset + draws <= 4:  # past one block a row, a Philox per row is the faster
         heads = _philox_heads(seed, stream_id, start, rows)[:, offset:offset + draws]
         out = (heads >> 11) * 2.0 ** -53
         if lengths is not None:
             out[np.arange(draws) >= lengths[:, None]] = 0.0
         return out
-    bit_gen = np.random.Philox(key=0)
-    gen = np.random.Generator(bit_gen)
-    fresh = {"bit_generator": "Philox", "state": {"counter": [offset // 4, 0, 0, 0], "key": None},
-             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    skip = offset % 4
+    pool = _STREAMS
+    while len(pool.rows) < count:
+        bit_gen = np.random.Philox(key=0)
+        pool.rows.append((bit_gen, np.random.Generator(bit_gen).random))
+    mark, pool.mark = pool.mark, None  # unset while the rows move
+    identity = order is None and lengths is None
+    if not identity or mark != (seed, stream_id, start, count, offset):
+        k0, k1 = replicate_key(seed, start, stream_id)
+        fresh = {"bit_generator": "Philox", "state": {"counter": [offset // 4, 0, 0, 0]},
+                 "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        for (bit_gen, _), row in zip(pool.rows, rows.tolist()):  # the first count rows
+            fresh["state"]["key"] = [k0, k1 + row]
+            bit_gen.state = fresh  # new key, counter at the offset, empty buffer
+            if offset % 4:
+                bit_gen.random_raw(offset % 4)
     out = np.empty((count, draws)) if lengths is None else np.zeros((count, draws))
     targets = out if lengths is None else map(lambda row, end: row[:end], out, lengths.tolist())
-    for row, target in zip(rows.tolist(), targets):
-        fresh["state"]["key"] = replicate_key(seed, start + row, stream_id)
-        bit_gen.state = fresh  # new key, counter at the offset, empty buffer
-        if skip:
-            bit_gen.random_raw(skip)
-        gen.random(out=target)
+    for (_, random), target in zip(pool.rows, targets):
+        random(out=target)
+    if identity:
+        pool.mark = (seed, stream_id, start, count, offset + draws)
     return out
 
 
@@ -216,11 +240,11 @@ def _width(statistic: Statistic, n: int, **keywords) -> int:
 def _urn_bytes(n: int, steps=()) -> int:
     """Bytes per replicate of a statistic that reduces stepped tiles.
 
-    A block of urn uniforms (or eta_count's block of times) and a
-    comparison's booleans, a stepped tile and tau's booleans on it, and
+    A block of urn uniforms (or eta_count's block of times) and a comparison's
+    booleans, a stepped tile and tau's booleans on it, a pooled stream, and
     urn_snapshot's row of len(steps) values, twice: simulate concatenates it.
     """
-    return 9 * min(BLOCK, n - 1) + 9 * min(TILE, n - 1) + 16 * len(steps) + 64
+    return 9 * min(BLOCK, n - 1) + 9 * min(TILE, n - 1) + STREAM_BYTES + 16 * len(steps) + 64
 
 
 def _r(n: int, chunk: tuple) -> np.ndarray:
@@ -257,13 +281,13 @@ def _paths_times(n: int, chunk: tuple) -> tuple[np.ndarray, np.ndarray]:
 def _whole(reduce: Callable[..., np.ndarray], *rest, **fields) -> Statistic:
     """An L-family statistic: reduce(n, paths, t, **keywords) on whole paths and times.
 
-    Bytes: int32 paths (4n), float64 times (8n), a block of uniforms and a
-    stepped tile, and L_hat's increments and weights (16n), the largest of
-    the family's reductions.  rest and fields are the Statistic's other fields.
+    Bytes: int32 paths (4n), float64 times (8n), a block of uniforms, a stepped tile, a
+    pooled stream, and L_hat's increments and weights (16n), the largest of the family's
+    reductions.  rest and fields are the Statistic's other fields.
     """
     return Statistic(lambda n, chunk, **keywords: reduce(n, *_paths_times(n, chunk), **keywords),
                      lambda n, **_: 28 * (n + 1) + 8 * min(BLOCK, 2 * (n - 1))
-                     + 8 * min(TILE, n - 1) + 64, *rest, **fields)
+                     + 8 * min(TILE, n - 1) + STREAM_BYTES + 64, *rest, **fields)
 
 
 def _window(n: int, t: np.ndarray, x: np.ndarray, alpha: float, beta: float) -> np.ndarray:
@@ -385,7 +409,7 @@ STATISTICS: dict[str, Statistic] = {
     "tau": Statistic(_tau, _urn_bytes),
     "rho": Statistic(lambda n, chunk: _rho_inverse_cdf(n, _uniform_rows(*chunk, 1)[:, 0])
                      .astype(float), lambda n: HEAD_BYTES),
-    "R": Statistic(_r, lambda n: 8 * n + HEAD_BYTES),
+    "R": Statistic(_r, lambda n: 8 * n + HEAD_BYTES + STREAM_BYTES),
     "urn_marginal": Statistic(lambda n, chunk, k: _snapshot(n, chunk, [k])[:, 0],
                               lambda n, k: _urn_bytes(n, [k]), ("k",),
                               lambda n, k: _check_steps(n, [k])),

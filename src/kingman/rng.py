@@ -4,7 +4,8 @@ Each replicate owns an independent counter-based Philox stream whose
 128-bit key encodes (master seed, stream id, replicate index), so results
 never depend on how replicates are scheduled across threads.
 The batch engine draws the same bits: stream heads from one vectorized
-Philox over a chunk's keys, longer draws by re-keying one Philox per row.
+Philox over a chunk's keys, longer draws from one pooled Philox per row,
+keyed when a chunk starts and drawn on from block to block.
 """
 
 from __future__ import annotations

@@ -4,6 +4,7 @@ import concurrent.futures
 import hashlib
 import math
 import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -161,6 +162,28 @@ def test_width_and_block_invariance(monkeypatch):
                 assert got.tobytes() == expect, (stat, n, settings)
 
 
+def traced_peak(*args, **params):
+    """Traced peak of batch.simulate(*args, **params) over the memory traced
+    before it, run on a new thread: the peak counts the making of that
+    thread's pooled streams, whatever earlier tests have drawn."""
+    tracemalloc.reset_peak()
+    before = tracemalloc.get_traced_memory()[0]
+    errors = []
+
+    def target():
+        try:
+            batch.simulate(*args, **params)
+        except BaseException as e:  # re-raised on the test's thread
+            errors.append(e)
+
+    thread = threading.Thread(target=target)
+    thread.start()
+    thread.join()
+    if errors:
+        raise errors[0]
+    return tracemalloc.get_traced_memory()[1] - before
+
+
 def test_chunks_stay_within_the_byte_budget(monkeypatch):
     # The traced peak of one chunk of the full width stays within the budget
     # plus a few length-n vectors that a chunk shares among its replicates
@@ -175,11 +198,7 @@ def test_chunks_stay_within_the_byte_budget(monkeypatch):
     tracemalloc.start()
     try:
         for stat, params in cases:
-            reps = width(stat, n, **params)
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            batch.simulate(stat, n, reps, SEED, **params)
-            peak = tracemalloc.get_traced_memory()[1] - before
+            peak = traced_peak(stat, n, width(stat, n, **params), SEED, **params)
             assert peak <= budget + slack, (stat, peak)
     finally:
         tracemalloc.stop()
@@ -189,8 +208,9 @@ def test_block_reducers_hold_memory_flat_in_n():
     # tau, urn_snapshot and eta_count reduce each tile as it is stepped, so
     # one chunk's traced peak per replicate does not grow with n, and at the
     # larger n it stays within twice a replicate's block of draws (8 * BLOCK
-    # bytes), the one large buffer.  Each steps the chain past a block at
-    # both n: urn_snapshot stops at its last step below n.
+    # bytes), the one large buffer, with its pooled stream counted.  Each
+    # steps the chain past a block at both n: urn_snapshot stops at its last
+    # step below n.
     reps = 256  # one chunk at both n
     tracemalloc.start()
     try:
@@ -199,10 +219,7 @@ def test_block_reducers_hold_memory_flat_in_n():
             for n in (2000, 20_000):
                 params = {"tau": {}, "urn_snapshot": {"steps": [1, n - 1, n]},
                           "eta_count": {"a": 1.0, "b": 2.0}}[stat]
-                tracemalloc.reset_peak()
-                before = tracemalloc.get_traced_memory()[0]
-                batch.simulate(stat, n, reps, SEED, **params)
-                peaks.append((tracemalloc.get_traced_memory()[1] - before) / reps)
+                peaks.append(traced_peak(stat, n, reps, SEED, **params) / reps)
             assert abs(peaks[1] / peaks[0] - 1) <= 0.1, (stat, peaks)
             assert peaks[1] <= 16 * batch.BLOCK, (stat, peaks)
     finally:
@@ -285,6 +302,55 @@ def test_uniform_rows_match_replicate_streams(draws):
                 p = count - 1 - i  # the ragged row of replicate start + i
                 expect[lengths[p]:] = 0.0
                 assert ragged[p].tobytes() == expect.tobytes(), (seed, stream_id, start + i, offset)
+
+
+def stream_rows(seed, stream_id, start, count, draws, offset=0):
+    return np.array([replicate_stream(seed, start + i, stream_id).random(offset + draws)[offset:]
+                     for i in range(count)])
+
+
+def test_uniform_rows_continue_only_the_chunk_they_left():
+    # A thread's pooled streams draw on only where the last identity-ordered
+    # call of the same chunk ended; any other call re-keys them.
+    a, b = (SEED, 1, 0, 5), (SEED, 1, 5, 5)  # two chunks of one stream
+
+    def check(chunk, draws, offset, *ragged):
+        got = batch._uniform_rows(*chunk, draws, offset, *ragged)
+        expect = stream_rows(*chunk, draws, offset)
+        if ragged:
+            order, lengths = ragged
+            expect = expect[order]
+            expect[np.arange(draws) >= lengths[:, None]] = 0.0
+        assert got.tobytes() == expect.tobytes(), (chunk, draws, offset, ragged)
+
+    # chunk A's first block, chunk B's, then chunk A where its block ended
+    check(a, 10, 0)
+    check(b, 10, 0)
+    check(a, 7, 10)
+    # a ragged call, as R makes, between two blocks of one chunk
+    check(a, 9, 0)
+    check(a, 9, 9, np.arange(5)[::-1], np.array([1, 3, 5, 7, 9]))
+    check(a, 9, 9)
+    # blocks that start inside a Philox block of four words: 3, 9 and 14
+    check(a, 6, 3)
+    check(a, 5, 9)
+    check(a, 11, 14)
+    assert batch._STREAMS.mark == (*a, 25)
+
+
+def test_threads_draw_from_their_own_streams():
+    # two threads stepping long chains at once, each with its own seed,
+    # give the bytes of one thread
+    seeds = (SEED, SEED + 1)
+    expect = [batch.simulate("tau", 3000, 64, seed).tobytes() for seed in seeds]
+    start = threading.Barrier(len(seeds))
+
+    def tau(seed):
+        start.wait()
+        return batch.simulate("tau", 3000, 64, seed).tobytes()
+
+    with concurrent.futures.ThreadPoolExecutor(len(seeds)) as pool:
+        assert list(pool.map(tau, seeds)) == expect
 
 
 def test_uniform_rows_reject_replicates_past_the_key_range():
