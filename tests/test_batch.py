@@ -4,6 +4,7 @@ import concurrent.futures
 import hashlib
 import math
 import os
+import sys
 import threading
 import tracemalloc
 
@@ -178,7 +179,8 @@ def traced_peak(*args, **params):
 
     thread = threading.Thread(target=target)
     thread.start()
-    thread.join()
+    thread.join(timeout=300)
+    assert not thread.is_alive()
     if errors:
         raise errors[0]
     return tracemalloc.get_traced_memory()[1] - before
@@ -339,18 +341,25 @@ def test_uniform_rows_continue_only_the_chunk_they_left():
 
 
 def test_threads_draw_from_their_own_streams():
-    # two threads stepping long chains at once, each with its own seed,
-    # give the bytes of one thread
-    seeds = (SEED, SEED + 1)
+    # each thread pools its own streams: three threads stepping long chains
+    # at once, each with its own seed and switching every 10 us, give the
+    # bytes of one thread
+    seeds = (SEED, SEED + 1, SEED + 2)
     expect = [batch.simulate("tau", 3000, 64, seed).tobytes() for seed in seeds]
-    start = threading.Barrier(len(seeds))
+    start = threading.Barrier(len(seeds), timeout=60)
 
     def tau(seed):
         start.wait()
         return batch.simulate("tau", 3000, 64, seed).tobytes()
 
-    with concurrent.futures.ThreadPoolExecutor(len(seeds)) as pool:
-        assert list(pool.map(tau, seeds)) == expect
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(len(seeds)) as pool:
+            got = [f.result(timeout=60) for f in [pool.submit(tau, seed) for seed in seeds]]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == expect
 
 
 def test_uniform_rows_reject_replicates_past_the_key_range():
