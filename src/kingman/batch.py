@@ -6,11 +6,11 @@ reps), whatever the chunk width, the block and tile sizes or the thread
 count.  A chunk draws the bits of rng.replicate_stream: one vectorized
 Philox over the chunk's keys for stream heads (draws within the first
 Philox block), and for longer draws one pooled Philox per replicate, which
-a chunk keys once and draws on from block to block.  The
-per-replicate draw order matches the scalar samplers in urn.py and
+a chunk keys once and draws on from block to block, R's sorted rows too.
+The per-replicate draw order matches the scalar samplers in urn.py and
 coalescent.py: the n-1 urn-transition uniforms, then the n-1 waiting-time
 uniforms in descending k (R draws rho's uniform, then the time uniforms
-it reads).
+it reads, in pieces of BLOCK words).
 
 The urn chain is drawn a block at a time, stepped a tile at a time: a
 block holds BLOCK draws per replicate, and each tile of TILE of its steps
@@ -80,10 +80,11 @@ def _philox_heads(seed: int, stream_id: int, start: int, rows: np.ndarray) -> np
 
 class _Streams(threading.local):
     """Per thread: a Philox and its Generator's random per row, grown to the widest chunk,
-    and the mark (seed, stream_id, start, count, offset) the rows continue from, or None."""
+    the mark (seed, stream_id, start, count, offset) the rows continue from, or None, and
+    held, the rows of that chunk whose streams, the pool's first, stand at that offset."""
 
     def __init__(self):
-        self.rows, self.mark = [], None
+        self.rows, self.mark, self.held = [], None, None
 
 
 _STREAMS = _Streams()
@@ -94,13 +95,15 @@ def _uniform_rows(seed: int, stream_id: int, start: int, count: int, draws: int,
                   lengths: np.ndarray | None = None) -> np.ndarray:
     """Row p is replicate_stream(seed, start + order[p], stream_id).random(offset + draws)[offset:]
 
-    order permutes 0..count-1 (default: the identity); with lengths, row p
-    holds its first lengths[p] draws, then zeros.  Philox makes four 64-bit
-    words per counter value and each draw takes one word.  Draws within the
-    first four words come from _philox_heads; longer ones from this thread's
-    pooled Philox per row.  A call that continues the last identity-ordered
-    call of the same chunk draws on; any other re-keys the rows, each at
-    counter offset // 4, skipping offset % 4 words: the same words.
+    order lists distinct rows of 0..count-1 (default: all of them, in
+    order); with lengths, row p holds its first lengths[p] draws, then
+    zeros.  Philox makes four 64-bit words per counter value and each draw
+    takes one word.  Draws within the first four words come from
+    _philox_heads; longer ones from this thread's pooled Philox per row.  A
+    call whose rows are a prefix of the rows the last call of the same chunk
+    drew to its end (those before the first shorter row) draws on where that
+    call ended; any other re-keys the rows, each at counter offset // 4,
+    skipping offset % 4 words: the same words.
     """
     rows = np.arange(count) if order is None else order
     replicate_key(seed, start + count - 1, stream_id)  # the key range of every row
@@ -111,26 +114,26 @@ def _uniform_rows(seed: int, stream_id: int, start: int, count: int, draws: int,
             out[np.arange(draws) >= lengths[:, None]] = 0.0
         return out
     pool = _STREAMS
-    while len(pool.rows) < count:
+    while len(pool.rows) < len(rows):
         bit_gen = np.random.Philox(key=0)
         pool.rows.append((bit_gen, np.random.Generator(bit_gen).random))
     mark, pool.mark = pool.mark, None  # unset while the rows move
-    identity = order is None and lengths is None
-    if not identity or mark != (seed, stream_id, start, count, offset):
+    if mark != (seed, stream_id, start, count, offset) \
+            or not np.array_equal(pool.held[:len(rows)], rows):
         k0, k1 = replicate_key(seed, start, stream_id)
         fresh = {"bit_generator": "Philox", "state": {"counter": [offset // 4, 0, 0, 0]},
                  "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-        for (bit_gen, _), row in zip(pool.rows, rows.tolist()):  # the first count rows
+        for (bit_gen, _), row in zip(pool.rows, rows.tolist()):  # the first len(rows) rows
             fresh["state"]["key"] = [k0, k1 + row]
             bit_gen.state = fresh  # new key, counter at the offset, empty buffer
             if offset % 4:
                 bit_gen.random_raw(offset % 4)
-    out = np.empty((count, draws)) if lengths is None else np.zeros((count, draws))
+    out = np.empty((len(rows), draws)) if lengths is None else np.zeros((len(rows), draws))
     targets = out if lengths is None else map(lambda row, end: row[:end], out, lengths.tolist())
     for (_, random), target in zip(pool.rows, targets):
         random(out=target)
-    if identity:
-        pool.mark = (seed, stream_id, start, count, offset + draws)
+    ended = rows if lengths is None else rows[:np.logical_and.accumulate(lengths == draws).sum()]
+    pool.mark, pool.held = (seed, stream_id, start, count, offset + draws), ended.copy()
     return out
 
 
@@ -198,7 +201,7 @@ def _times(n: int, w: np.ndarray, first: int = 0, prior: np.ndarray | None = Non
     transformed whole.  Returns w.
     """
     ks = np.arange(n - first, n - first - w.shape[1], -1, dtype=float)
-    np.negative(w, out=w)
+    np.multiply(w, -1.0, out=w)  # numpy 2.4's negative misreads one-column views 64 bytes a row
     np.log1p(w, out=w)
     np.divide(w, ks * (ks - 1) / -2.0, out=w)  # the increments -log1p(-w) / rate
     if prior is not None:
@@ -216,10 +219,20 @@ def _merge_counts(paths: np.ndarray) -> np.ndarray:
 
 
 def _rho_inverse_cdf(n: int, w: np.ndarray) -> np.ndarray:
-    """Merge level of a tagged leaf by CDF inversion of P(rho <= k)."""
-    ks = np.arange(1, n, dtype=float)
-    cdf = (ks + 1.0) * ks / (n * (n - 1.0))
-    return np.searchsorted(cdf, w, side="right") + 1
+    """Merge level of a tagged leaf by CDF inversion of P(rho <= k) = k(k+1) / (n(n-1)).
+
+    rho is 1 + the largest k in 0..n-2 whose cdf, computed as a float, is at
+    most w: the root of k(k+1) = w n(n-1), moved to where the cdf crosses w.
+    """
+    def cdf(k):
+        return (k + 1.0) * k / (n * (n - 1.0))
+
+    k = np.floor((np.sqrt(4.0 * w * (n * (n - 1.0)) + 1.0) - 1.0) / 2.0)
+    while (up := cdf(k + 1.0) <= w).any():  # cdf(n-1) = 1 > w
+        k += up
+    while (down := cdf(k) > w).any():  # cdf(0) = 0 <= w
+        k -= down
+    return k.astype(np.int64) + 1
 
 
 class Statistic(NamedTuple):
@@ -250,19 +263,26 @@ def _urn_bytes(n: int, steps=()) -> int:
 def _r(n: int, chunk: tuple) -> np.ndarray:
     """T_rho per replicate, from the n - rho time uniforms that reach it.
 
-    With rows sorted by descending need = n - rho, the rows that still read
-    a tile of TILE time columns are a prefix.  Column need - 1 becomes T_rho.
+    Word 0 of a row's stream is rho's uniform and words 1..need, need = n - rho,
+    are the time uniforms it reads.  With rows sorted by descending need, the
+    rows that still read a piece of BLOCK words, or a tile of TILE time
+    columns in it, are a prefix, and each piece draws on from the last.
+    T_rho is read from the piece in which its row's need ends.
     """
     rho = _rho_inverse_cdf(n, _uniform_rows(*chunk, 1)[:, 0])
     order = np.argsort(rho, kind="stable")  # descending need, ties in replicate order
     need = n - rho[order]
-    w = _uniform_rows(*chunk, n - 1, 1, order, need)  # zeros past each row's need
-    prior = np.zeros(len(need))  # x + 0.0 is x: the increments are never -0.0
-    for first in range(0, need[0], TILE):
-        k = np.count_nonzero(need > first)
-        prior = _times(n, w[:k, first:first + TILE], first, prior[:k])[:, -1]
-    out = np.empty(len(need))
-    out[order] = w[np.arange(len(need)), need - 1]
+    out, prior = np.empty(len(need)), np.zeros(len(need))  # x + 0.0 is x: no increment is -0.0
+    for first in range(0, need[0] + 1, BLOCK):  # words first..first+BLOCK-1
+        k = np.count_nonzero(need >= first)
+        w = _uniform_rows(*chunk, min(BLOCK, need[0] + 1 - first), first, order[:k],
+                          np.minimum(need[:k] + 1 - first, BLOCK))  # zeros past each need
+        for a in range(first == 0, w.shape[1], TILE):  # column a: time uniform first + a - 1
+            rows = np.count_nonzero(need > first + a - 1)
+            prior = _times(n, w[:rows, a:a + TILE], first + a - 1, prior[:rows])[:, -1].copy()
+        ends = np.flatnonzero(need[:k] < first + w.shape[1])
+        out[order[ends]] = w[ends, need[ends] - first]
+        del w  # before the next piece is drawn
     return out
 
 
@@ -409,7 +429,9 @@ STATISTICS: dict[str, Statistic] = {
     "tau": Statistic(_tau, _urn_bytes),
     "rho": Statistic(lambda n, chunk: _rho_inverse_cdf(n, _uniform_rows(*chunk, 1)[:, 0])
                      .astype(float), lambda n: HEAD_BYTES),
-    "R": Statistic(_r, lambda n: 8 * n + HEAD_BYTES + STREAM_BYTES),
+    # a piece of draws, rho's heads, a pooled stream, and rho, order, need, out, prior, the
+    # lengths and their list, and temporaries
+    "R": Statistic(_r, lambda n: 8 * min(BLOCK, n) + HEAD_BYTES + STREAM_BYTES + 128),
     "urn_marginal": Statistic(lambda n, chunk, k: _snapshot(n, chunk, [k])[:, 0],
                               lambda n, k: _urn_bytes(n, [k]), ("k",),
                               lambda n, k: _check_steps(n, [k])),

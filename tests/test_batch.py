@@ -13,7 +13,7 @@ import pytest
 from scipy.special import gammaincc
 
 from kingman import batch, coalescent, moments, urn
-from kingman.rng import replicate_stream
+from kingman.rng import replicate_key, replicate_stream
 
 SEED = 2024
 
@@ -145,13 +145,15 @@ def test_width_and_block_invariance(monkeypatch):
     reps = 23
     # The urn chain is stepped TILE columns of a block at a time, and R
     # transforms TILE time columns at a time over the rows that still read
-    # them (at each n here they need from 1 to n-1 columns): TILE = 1 and 3
-    # end tiles and prefixes on a tile edge, and with BLOCK = 12 and TILE = 5
-    # a tile ends early at each block edge.
+    # them (at each n here they need from 1 to n-1 columns), in pieces of
+    # BLOCK words: TILE = 1 and 3 end tiles and prefixes on a tile edge, and
+    # with BLOCK = 12 and TILE = 5 a tile ends early at each block edge.  At
+    # n = 9 R's rows are 8 doubles, 64 bytes, wide, and TILE = 1 takes
+    # one-column views of them.
     variants = [{"MAX_WIDTH": 1}, {"MAX_WIDTH": 7}, {"MAX_WIDTH": 16},  # 2 chunks: 12 and 11
                 {"BLOCK": 4}, {"BLOCK": 12}, {"TILE": 1}, {"TILE": 3}, {"TILE": 64},
                 {"BLOCK": 12, "TILE": 5}]
-    for n in (6, 7, 8, 14, 40):
+    for n in (6, 7, 8, 9, 14, 40):
         cases = [(stat, invariance_params(stat, n)) for stat in batch.STATISTICS]
         for stat, params in cases + edge_cases(n):
             expect = batch.simulate(stat, n, reps, SEED, **params).tobytes()
@@ -191,6 +193,7 @@ def test_chunks_stay_within_the_byte_budget(monkeypatch):
     # plus a few length-n vectors that a chunk shares among its replicates
     # (the level and rate arrays), so each statistic's stated bytes are
     # honest.  With no cap on the width, every width comes from those bytes.
+    # R shares no length-n vector, so it must fit the budget itself.
     n, budget = 5000, 4 << 20
     slack = 8 * 8 * n + (64 << 10)
     monkeypatch.setattr(batch, "BUDGET", budget)
@@ -201,26 +204,26 @@ def test_chunks_stay_within_the_byte_budget(monkeypatch):
     try:
         for stat, params in cases:
             peak = traced_peak(stat, n, width(stat, n, **params), SEED, **params)
-            assert peak <= budget + slack, (stat, peak)
+            assert peak <= budget + (0 if stat == "R" else slack), (stat, peak)
     finally:
         tracemalloc.stop()
 
 
 def test_block_reducers_hold_memory_flat_in_n():
-    # tau, urn_snapshot and eta_count reduce each tile as it is stepped, so
-    # one chunk's traced peak per replicate does not grow with n, and at the
-    # larger n it stays within twice a replicate's block of draws (8 * BLOCK
-    # bytes), the one large buffer, with its pooled stream counted.  Each
-    # steps the chain past a block at both n: urn_snapshot stops at its last
-    # step below n.
+    # tau, urn_snapshot and eta_count reduce each tile as it is stepped, and R
+    # each piece of time uniforms as it is drawn, so one chunk's traced peak
+    # per replicate does not grow with n, and at the larger n it stays within
+    # twice a replicate's block of draws (8 * BLOCK bytes), the one large
+    # buffer, with its pooled stream counted.  Each draws past a block at both
+    # n: urn_snapshot stops at its last step below n, and R at its longest need.
     reps = 256  # one chunk at both n
     tracemalloc.start()
     try:
-        for stat in ("tau", "urn_snapshot", "eta_count"):
+        for stat in ("tau", "urn_snapshot", "eta_count", "R"):
             peaks = []
             for n in (2000, 20_000):
                 params = {"tau": {}, "urn_snapshot": {"steps": [1, n - 1, n]},
-                          "eta_count": {"a": 1.0, "b": 2.0}}[stat]
+                          "eta_count": {"a": 1.0, "b": 2.0}, "R": {}}[stat]
                 peaks.append(traced_peak(stat, n, reps, SEED, **params) / reps)
             assert abs(peaks[1] / peaks[0] - 1) <= 0.1, (stat, peaks)
             assert peaks[1] <= 16 * batch.BLOCK, (stat, peaks)
@@ -340,6 +343,58 @@ def test_uniform_rows_continue_only_the_chunk_they_left():
     assert batch._STREAMS.mark == (*a, 25)
 
 
+def test_uniform_rows_continue_an_ordered_prefix(monkeypatch):
+    # R draws its pieces in one order of rows, each piece by the rows that
+    # drew the last one to its end, a prefix: those rows draw on, with one
+    # key lookup for the key range and none to re-key.
+    a, b = (SEED, 2, 0, 6), (SEED, 2, 6, 6)  # two chunks of one stream
+    order = np.array([4, 1, 5, 0, 3, 2])
+    keys = []
+    monkeypatch.setattr(batch, "replicate_key",
+                        lambda *args: keys.append(args) or replicate_key(*args))
+
+    def check(chunk, draws, offset, rows, lengths, lookups):
+        keys.clear()
+        got = batch._uniform_rows(*chunk, draws, offset, rows, np.array(lengths))
+        expect = stream_rows(*chunk, draws, offset)[rows]
+        expect[np.arange(draws) >= np.array(lengths)[:, None]] = 0.0
+        assert got.tobytes() == expect.tobytes(), (chunk, draws, offset)
+        assert len(keys) == lookups, (chunk, draws, offset)
+
+    check(a, 9, 0, order, [9, 9, 9, 9, 4, 2], 2)  # a full piece: four rows reach its end
+    assert batch._STREAMS.held.tolist() == [4, 1, 5, 0]
+    check(a, 7, 9, order[:3], [7, 7, 1], 1)  # a prefix of them, drawn on at the offset
+    check(a, 5, 16, order[1:3], [5, 5], 2)  # not a prefix: re-keyed
+    check(a, 5, 21, order[1:3], [5, 5], 1)
+    check(b, 7, 0, order[:4], [7] * 4, 2)  # another chunk
+    check(a, 4, 26, order[1:2], [4], 2)  # the first chunk again: re-keyed at its offset
+    assert batch._STREAMS.mark == (*a, 30)
+
+
+def test_times_transform_one_column_views():
+    # numpy 2.4.6's negative(v, out=v) reads a one-column view whose rows are
+    # 64 bytes apart as if it were contiguous; each row keeps its own column.
+    w = np.random.default_rng(1).random((3, 8))
+    expect = batch._times(9, w[:, 7:8].copy(), 7, w[:, 0].copy())
+    got = batch._times(9, w[:, 7:8], 7, w[:, 0].copy())
+    assert got.tobytes() == expect.tobytes()
+    assert (got > w[:, 0:1]).all()
+
+
+def test_rho_inverse_cdf_matches_the_searched_cdf():
+    # rho from the root of k(k+1) = w n(n-1), against the search of the whole
+    # cdf, at random w and at each cdf value and its float neighbours
+    rng = np.random.default_rng(SEED)
+    for n in (2, 3, 9, 1000, 10 ** 6):
+        ks = np.arange(1, n, dtype=float)
+        cdf = (ks + 1.0) * ks / (n * (n - 1.0))
+        edges = cdf[:-1] if n <= 1000 else cdf[rng.integers(0, n - 2, 10_000)]
+        w = np.concatenate([rng.random(10_000), edges, np.nextafter(edges, 0),
+                            np.nextafter(edges, 1), [0.0, np.nextafter(1.0, 0)]])
+        expect = np.searchsorted(cdf, w, side="right") + 1
+        assert batch._rho_inverse_cdf(n, w).tolist() == expect.tolist(), n
+
+
 def test_threads_draw_from_their_own_streams():
     # each thread pools its own streams: three threads stepping long chains
     # at once, each with its own seed and switching every 10 us, give the
@@ -371,8 +426,10 @@ def test_uniform_rows_reject_replicates_past_the_key_range():
 def test_r_prefix_matches_whole_rows():
     # R draws and transforms only the n - rho time uniforms it reads; the
     # whole-row formula gives the same bits.  2000 replicates span two chunks.
+    # Each piece of BLOCK words starts with word 0, rho's: at n = 513, 514 and
+    # 1025 the longest needs end on a piece's first word or its second.
     reps = 2000
-    for n in (2, 3, 4, 5, 65, 66, 129, 1000):
+    for n in (2, 3, 4, 5, 65, 66, 129, 513, 514, 1000, 1025):
         w = batch._uniform_rows(SEED, 3, 0, reps, n)
         rho = batch._rho_inverse_cdf(n, w[:, 0])
         expect = batch._times(n, w[:, 1:])[:, ::-1][np.arange(reps), rho - 1]
