@@ -426,8 +426,9 @@ def test_uniform_rows_reject_replicates_past_the_key_range():
 def test_r_prefix_matches_whole_rows():
     # R draws and transforms only the n - rho time uniforms it reads; the
     # whole-row formula gives the same bits.  2000 replicates span two chunks.
-    # Each piece of BLOCK words starts with word 0, rho's: at n = 513, 514 and
-    # 1025 the longest needs end on a piece's first word or its second.
+    # R's pieces are BLOCK words of each stream, the first from word 0, rho's:
+    # at n = 513, 514 and 1025 the longest needs end on the first word of a
+    # piece or on its second.
     reps = 2000
     for n in (2, 3, 4, 5, 65, 66, 129, 513, 514, 1000, 1025):
         w = batch._uniform_rows(SEED, 3, 0, reps, n)
