@@ -382,6 +382,10 @@ def _eta_count(n: int, chunk: tuple, a: float, b: float) -> np.ndarray:
         t = _times(n, _uniform_rows(*chunk, min(BLOCK, steps - first), steps + first),
                    first, prior)
         prior = t[:, -1].copy()
+        if (prior * math.sqrt(n) < a).all():  # rows rise: every point of the block is below a
+            ends += t.shape[1]
+            del t
+            continue
         t *= math.sqrt(n)  # the scaled points
         ends[0] += np.count_nonzero(t < a, axis=1)
         ends[1] += np.count_nonzero(t < b, axis=1)

@@ -15,6 +15,7 @@ import numpy as np
 _MASK64 = (1 << 64) - 1
 _MAX_REPLICATE = 1 << 48
 _MAX_STREAM = 1 << 16
+DEFAULT_SEED = 7  # kingman verify's master seed
 
 
 def replicate_key(seed: int, replicate: int, stream_id: int) -> list[int]:

@@ -57,7 +57,7 @@ def ks_statistic(values: np.ndarray, cdf: Callable[[float], float]) -> float:
     m = len(x)
     if m == 0:
         raise ValueError("empty sample")
-    f = np.array([cdf(v) for v in x])
+    f = np.fromiter(map(cdf, x), dtype=float, count=m)
     i = np.arange(1, m + 1)
     return float(max(np.max(f - (i - 1) / m), np.max(i / m - f)))
 

@@ -18,8 +18,7 @@ import numpy as np
 
 from . import batch, moments, stats, urn
 from .indexing import ceil_pow, floor_pow
-
-DEFAULT_SEED = 7
+from .rng import DEFAULT_SEED
 
 # stream ids keep the statistical criteria on disjoint random streams
 _S_TOTAL, _S_HAT, _S_ETA, _S_T4, _S_TAU, _S_R, _S_GP, _S_IND = range(1, 9)

@@ -487,16 +487,35 @@ def test_window_matches_scalar():
         assert vals[rep] == pytest.approx(expect, rel=1e-12)
 
 
+def scalar_eta_count(n, rep, a, b):
+    rng = replicate_stream(SEED, rep)
+    path = urn.sample_urn_path(n, rng)
+    times = coalescent.sample_waiting_times(n, rng)
+    hist = coalescent.history_from_urn_path(path)
+    return coalescent.scaled_point_pattern(times, hist).count(a, b)
+
+
 def test_eta_count_matches_scalar():
     n, a, b = 50, 0.5, 3.0
     vals = batch.simulate("eta_count", n, 200, SEED, a=a, b=b)
     for rep in range(200):
-        rng = replicate_stream(SEED, rep)
-        path = urn.sample_urn_path(n, rng)
-        times = coalescent.sample_waiting_times(n, rng)
-        hist = coalescent.history_from_urn_path(path)
-        pattern = coalescent.scaled_point_pattern(times, hist)
-        assert vals[rep] == pattern.count(a, b)
+        assert vals[rep] == scalar_eta_count(n, rep, a, b)
+
+
+def test_eta_count_blocks_below_a_match_scalar(monkeypatch):
+    # A block whose rows all end below a is counted whole without scaling it.
+    # edge_cases puts a below every point (never taken), above every point
+    # (taken on every block) and, for replicate 0 alone, just past the last
+    # column of a block at BLOCK = 4 (taken up to that block) or on it.
+    n = 40
+    monkeypatch.setattr(batch, "BLOCK", 4)
+    for stat, params in edge_cases(n):
+        if stat != "eta_count":
+            continue
+        for reps in (1, 40):
+            vals = batch.simulate(stat, n, reps, SEED, **params)
+            assert vals.tolist() == [scalar_eta_count(n, rep, **params)
+                                     for rep in range(reps)], (params, reps)
 
 
 def test_window_pair_columns_match_single_windows():

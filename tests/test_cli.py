@@ -185,16 +185,32 @@ def test_simulate_repeat_identical(tmp_path):
 COLD_START = textwrap.dedent("""
     import math, sys
     import numpy as np
-    from kingman import cli, stats
+    from kingman import cli
 
+    # simulate and hist load numpy and batch; each other module loads with the command using it
+    unused = ("kingman.verify", "kingman.stats", "kingman.moments", "kingman.urn",
+              "kingman.coalescent", "fractions", "json", "scipy.special")
+
+    def loaded(names):
+        return [name for name in names if name in sys.modules]
+
+    assert loaded(unused) == [], loaded(unused)
     out = sys.argv[1]
     for argv in (["simulate", "--statistic", "L", "--n", "20", "--reps", "50"],
-                 ["moments", "--quantity", "fu_li_var", "--n", "50"],
                  ["hist", "--statistic", "tau", "--n", "50", "--reps", "100", "--bins", "5"],
+                 ["moments", "--quantity", "fu_li_var", "--n", "50"],
                  ["verify", "--suite", "exact", "--threads", "1"]):
         assert cli.main(argv + ["--out", out]) == 0, argv
         assert "scipy.special" not in sys.modules, argv
+        if argv[0] in ("simulate", "hist"):
+            assert loaded(unused) == [], (argv, loaded(unused))
+        elif argv[0] == "moments":
+            assert loaded(("kingman.moments", "kingman.verify")) == ["kingman.moments"]
 
+    import kingman
+    assert kingman.verify.CRITERIA and not hasattr(kingman, "nope")  # AttributeError only
+
+    from kingman import stats
     values = np.linspace(0.0005, 0.9995, 1000) ** 1.1
     ks = stats.ks_test(values, lambda x: x, name="ks", seed=0)
     chi = stats.chi_square_gof(np.arange(400) % 4, {0: 0.2, 1: 0.3, 2: 0.25, 3: 0.25},
