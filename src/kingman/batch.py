@@ -20,9 +20,10 @@ L_hat, window_pair), whose float sums run over whole rows, copies the tiles
 back into whole paths.
 
 Every statistic is one Statistic record in STATISTICS: how a chunk draws
-and reduces its replicates, its keywords and their check, and the bytes
-one replicate holds, which set a chunk's width: as many replicates as
-BUDGET holds, at most MAX_WIDTH.
+and reduces its replicates, its keywords and their check, and the bytes of
+the rows one replicate holds that grow with n or the keywords.  A chunk
+holds MAX_WIDTH replicates, fewer where the L family's or urn_snapshot's
+rows would pass BUDGET (see _bytes).
 
 simulate is plan, run, concatenate: plan checks the arguments and cuts the
 replicates into chunk tasks, and run puts any list of tasks (verify adds
@@ -236,28 +237,25 @@ def _rho_inverse_cdf(n: int, w: np.ndarray) -> np.ndarray:
 
 
 class Statistic(NamedTuple):
-    """How a chunk draws and reduces its replicates, the bytes that takes, and its keywords."""
+    """How a chunk draws and reduces its replicates, its keywords, and its rows' bytes."""
 
     values: Callable[..., np.ndarray]  # (n, chunk, **keywords) -> a value or row per replicate
-    bytes: Callable[..., int]  # (n, **keywords) -> most bytes one replicate holds in its chunk
     keywords: tuple[str, ...] = ()
     check: Callable[..., None] = lambda n: None  # check(n, **keywords) raises ValueError
     two_d: bool = False  # one row of values per replicate, not one value
+    rows: Callable[..., int] = lambda n, **keywords: 0  # bytes of a replicate's own rows
+
+
+def _bytes(statistic: Statistic, n: int, **keywords) -> int:
+    """Most bytes one replicate holds in its chunk: a block of draws and a comparison's
+    booleans, a stepped tile and tau's booleans on it, a pooled stream, its heads and
+    scalars, whatever the statistic, and the statistic's own rows."""
+    return 9 * BLOCK + 9 * TILE + STREAM_BYTES + HEAD_BYTES + 128 + statistic.rows(n, **keywords)
 
 
 def _width(statistic: Statistic, n: int, **keywords) -> int:
     """Replicates per chunk: as many as BUDGET holds, at least 1, at most MAX_WIDTH."""
-    return max(1, min(MAX_WIDTH, BUDGET // statistic.bytes(n, **keywords)))
-
-
-def _urn_bytes(n: int, steps=()) -> int:
-    """Bytes per replicate of a statistic that reduces stepped tiles.
-
-    A block of urn uniforms (or eta_count's block of times) and a comparison's
-    booleans, a stepped tile and tau's booleans on it, a pooled stream, and
-    urn_snapshot's row of len(steps) values, twice: simulate concatenates it.
-    """
-    return 9 * min(BLOCK, n - 1) + 9 * min(TILE, n - 1) + STREAM_BYTES + 16 * len(steps) + 64
+    return max(1, min(MAX_WIDTH, BUDGET // _bytes(statistic, n, **keywords)))
 
 
 def _r(n: int, chunk: tuple) -> np.ndarray:
@@ -301,13 +299,12 @@ def _paths_times(n: int, chunk: tuple) -> tuple[np.ndarray, np.ndarray]:
 def _whole(reduce: Callable[..., np.ndarray], *rest, **fields) -> Statistic:
     """An L-family statistic: reduce(n, paths, t, **keywords) on whole paths and times.
 
-    Bytes: int32 paths (4n), float64 times (8n), a block of uniforms, a stepped tile, a
-    pooled stream, and L_hat's increments and weights (16n), the largest of the family's
-    reductions.  rest and fields are the Statistic's other fields.
+    Its rows: int32 paths (4n), float64 times (8n), and L_hat's increments and weights
+    (16n), the largest of the family's reductions.  rest and fields are the Statistic's
+    other fields.
     """
     return Statistic(lambda n, chunk, **keywords: reduce(n, *_paths_times(n, chunk), **keywords),
-                     lambda n, **_: 28 * (n + 1) + 8 * min(BLOCK, 2 * (n - 1))
-                     + 8 * min(TILE, n - 1) + STREAM_BYTES + 64, *rest, **fields)
+                     *rest, rows=lambda n, **_: 28 * (n + 1), **fields)
 
 
 def _window(n: int, t: np.ndarray, x: np.ndarray, alpha: float, beta: float) -> np.ndarray:
@@ -430,17 +427,16 @@ STATISTICS: dict[str, Statistic] = {
                        _window(n, t, _merge_counts(paths), alpha, beta),
                        ("alpha", "beta"), _check_exponents),
     "L_hat": _whole(_hat_length, ("alpha", "beta"), _check_exponents),
-    "tau": Statistic(_tau, _urn_bytes),
+    "tau": Statistic(_tau),
     "rho": Statistic(lambda n, chunk: _rho_inverse_cdf(n, _uniform_rows(*chunk, 1)[:, 0])
-                     .astype(float), lambda n: HEAD_BYTES),
-    # a piece of draws, rho's heads, a pooled stream, and rho, order, need, out, prior, the
-    # lengths and their list, and temporaries
-    "R": Statistic(_r, lambda n: 8 * min(BLOCK, n) + HEAD_BYTES + STREAM_BYTES + 128),
-    "urn_marginal": Statistic(lambda n, chunk, k: _snapshot(n, chunk, [k])[:, 0],
-                              lambda n, k: _urn_bytes(n, [k]), ("k",),
+                     .astype(float)),
+    "R": Statistic(_r),
+    "urn_marginal": Statistic(lambda n, chunk, k: _snapshot(n, chunk, [k])[:, 0], ("k",),
                               lambda n, k: _check_steps(n, [k])),
-    "eta_count": Statistic(_eta_count, lambda n, a, b: _urn_bytes(n), ("a", "b"), _check_interval),
-    "urn_snapshot": Statistic(_snapshot, _urn_bytes, ("steps",), _check_steps, two_d=True),
+    "eta_count": Statistic(_eta_count, ("a", "b"), _check_interval),
+    # its row of values, twice: simulate concatenates the chunks' rows
+    "urn_snapshot": Statistic(_snapshot, ("steps",), _check_steps, two_d=True,
+                              rows=lambda n, steps: 16 * len(steps)),
     "window_pair": _whole(_window_pair, ("window1", "window2"), _check_windows, two_d=True),
 }
 
@@ -463,6 +459,10 @@ def _check_count(name: str, value, least: int, most: float = math.inf) -> None:
         raise ValueError(f"{name} must be an integer in [{least}, {most}], got {value!r}")
 
 
+def check_seed(seed) -> None:  # plan's check, for callers that plan nothing
+    _check_count("seed", seed, 0, 2 ** 64 - 1)
+
+
 # fn(*args) for run, with its cost in replicate levels stepped, or as many as take as long
 Task = NamedTuple("Task", [("cost", float), ("fn", Callable), ("args", tuple)])
 
@@ -473,12 +473,12 @@ def _call(task: Task):
 
 def plan(statistic: str, n: int, reps: int, seed: int, *,
          threads: int = 1, stream_id: int = 0, **params) -> list[Task]:
-    """The chunk tasks of simulate(...), after every check of its arguments; with
-    min(threads, chunks, usable CPUs) > 1 workers, each gets as many chunks, at least two."""
+    """The chunk tasks of simulate(...), after every check of its arguments; their count
+    is a multiple of the min(threads, chunks, usable CPUs) workers, or reps."""
     _check_count("threads", threads, 1)
     _check_count("sample size n", n, 2)
     _check_count("reps", reps, 1)
-    _check_count("seed", seed, 0, 2 ** 64 - 1)
+    check_seed(seed)
     spec = STATISTICS.get(statistic)
     if spec is None:
         raise ValueError(f"unknown statistic {statistic!r}")
@@ -490,8 +490,7 @@ def plan(statistic: str, n: int, reps: int, seed: int, *,
     replicate_key(seed, reps - 1, stream_id)  # rejects a bad stream id or too many reps
     count = -(-reps // _width(spec, n, **params))  # chunks
     workers = min(threads, count, _usable_cpus())
-    if workers > 1:
-        count = min(reps, workers * max(2, -(-count // workers)))
+    count = min(reps, workers * -(-count // workers))
     size, extra = divmod(reps, count)  # equal chunks: no short one at the end
     return [Task((size + (i < extra)) * n, _chunk_kernel, (statistic, n, seed, stream_id,
                  i * size + min(i, extra), size + (i < extra), params)) for i in range(count)]

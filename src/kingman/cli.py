@@ -70,32 +70,33 @@ _SCALAR_QUANTITIES = {
 }
 
 
-def _evaluate_quantity(args) -> tuple[object, float]:
+def _evaluate_quantity(args) -> tuple[object, dict]:
+    """The quantity's value, and the keywords it took that the CSV row has no column for."""
     from . import moments
     q = args.quantity
     if q in _SCALAR_QUANTITIES:
-        val = getattr(moments, q)(args.n, *_required(args, q, _SCALAR_QUANTITIES[q]))
-        return val, float(val)
+        return getattr(moments, q)(args.n, *_required(args, q, _SCALAR_QUANTITIES[q])), {}
     if q in ("e_hat", "var_hat"):
-        m = args.m
-        if m is None and args.alpha is not None:
-            m = floor_pow(args.n, args.alpha)
+        if args.m is not None and args.alpha is not None:
+            raise ValueError(f"{q} takes --m or --alpha, not both")
+        m = args.m if args.alpha is None else floor_pow(args.n, args.alpha)
         if m is None:
             raise ValueError(f"{q} requires --m or --alpha")
-        val = getattr(moments, q)(args.n, m)
-        return val, float(val)
+        return getattr(moments, q)(args.n, m), {"m": m}
     raise ValueError(f"unknown quantity {args.quantity!r}")
 
 
 def cmd_moments(args) -> int:
     from fractions import Fraction
-    val, fval = _evaluate_quantity(args)
+    val, keywords = _evaluate_quantity(args)
+    fval = float(val)
     if args.format == "csv":
         if isinstance(val, Fraction):
             num, den = str(val.numerator), str(val.denominator)
         else:
             num, den = "", ""
         lines = _metadata_lines(args, ("quantity", "n"))
+        lines += [f"# {key}={value}" for key, value in keywords.items()]
         lines.append("quantity,n,k,l,alpha,beta,numerator,denominator,float_value")
         row = [args.quantity, str(args.n)]
         for f in ("k", "l", "alpha", "beta"):

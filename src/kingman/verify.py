@@ -270,8 +270,8 @@ CRITERIA: tuple[Criterion, ...] = (
 
 def _run(exact: list[batch.Task], criteria, seed: int, threads: int):
     """The exact checks' reports, then each criterion's; and its sample by stream id."""
-    plans = [batch.plan(c.statistic, c.n, c.reps, seed, threads=threads,
-                        stream_id=c.stream_id, **c.keywords) for c in criteria]
+    plans = [batch.plan(c.statistic, c.n, c.reps, seed, stream_id=c.stream_id, **c.keywords)
+             for c in criteria]  # the one pool balances the criteria: no chunk is narrowed
     results = iter(batch.run(exact + [task for tasks in plans for task in tasks], threads))
     reports, samples = [next(results) for _ in exact], {}
     for c, tasks in zip(criteria, plans):
@@ -289,6 +289,7 @@ def run_suite(name: str, seed: int = DEFAULT_SEED, threads: int = 1):
     """
     if name not in ("exact", "statistical", "all"):
         raise ValueError(f"unknown suite {name!r}")
+    batch.check_seed(seed)  # before any task runs: the exact suite plans nothing
     exact = (check_reversibility, check_chain_moments, check_hypergeometric,
              check_permutation_representation, check_box_scheme, check_variance_identity,
              check_martingale_identity, check_tau_tail) if name != "statistical" else ()

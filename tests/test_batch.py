@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaincc
 
-from kingman import batch, coalescent, moments, urn
+from kingman import batch, coalescent, moments, urn, verify
 from kingman.rng import replicate_key, replicate_stream
 
 SEED = 2024
@@ -248,7 +248,14 @@ def test_width_at_a_million_fits_the_budget():
     for stat, spec in batch.STATISTICS.items():
         params = invariance_params(stat, n)
         w = batch._width(spec, n, **params)
-        assert w >= 1 and w * spec.bytes(n, **params) <= batch.BUDGET, stat
+        assert w >= 1 and w * batch._bytes(spec, n, **params) <= batch.BUDGET, stat
+
+
+def test_widths_are_full_at_the_shapes_verify_and_the_benchmark_run():
+    # A byte statement that narrowed these chunks would slow verify silently.
+    shapes = [(c.statistic, c.n, c.keywords) for c in verify.CRITERIA] + [("rho", 1000, {})]
+    for stat, n, params in shapes:
+        assert width(stat, n, **params) == batch.MAX_WIDTH, (stat, n)
 
 
 def test_pool_size_is_capped_by_chunks_and_cpus(monkeypatch):

@@ -97,6 +97,15 @@ def test_moments_hat_via_alpha(capsys):
                     "--alpha", "0.5"]) == 0
     text = capsys.readouterr().out
     assert text.split(", ")[0] == "86/49"  # m = floor(sqrt(50)) = 7
+    # the CSV records the m it used, in a keyword line above the unchanged header
+    for quantity, chosen in (("e_hat", ["--alpha", "0.5"]), ("var_hat", ["--m", "7"])):
+        assert run_cli(["moments", "--quantity", quantity, "--n", "50", "--format", "csv"]
+                       + chosen) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[1:3] == ["# m=7",
+                              "quantity,n,k,l,alpha,beta,numerator,denominator,float_value"]
+        value = getattr(moments, quantity)(50, 7)
+        assert lines[3].split(",")[6:8] == [str(value.numerator), str(value.denominator)]
 
 
 def test_moments_usage_errors():
@@ -104,6 +113,9 @@ def test_moments_usage_errors():
     assert run_cli(["moments", "--quantity", "nonsense", "--n", "10"]) == 2
     assert run_cli(["moments", "--quantity", "e_hat", "--n", "10"]) == 2
     assert run_cli(["moments", "--quantity", "var_L_window_exact", "--n", "10"]) == 2
+    for quantity in ("e_hat", "var_hat"):  # m from one of the two, never both
+        assert run_cli(["moments", "--quantity", quantity, "--n", "50", "--m", "3",
+                        "--alpha", "0.5"]) == 2
 
 
 def test_verify_exact_suite(tmp_path):
@@ -122,6 +134,9 @@ def test_verify_rejects_zero_threads(monkeypatch, capsys):
     assert run_cli(["verify", "--suite", "exact", "--threads", "0"]) == 2
     monkeypatch.setenv("KINGMAN_THREADS", "0")
     assert run_cli(["verify", "--suite", "exact"]) == 2
+    monkeypatch.delenv("KINGMAN_THREADS")
+    for seed in ("-1", str(2 ** 64)):  # and so is a seed outside 0..2^64-1
+        assert run_cli(["verify", "--suite", "exact", "--seed", seed]) == 2
     assert capsys.readouterr().out == ""
 
 
