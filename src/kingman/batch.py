@@ -247,9 +247,9 @@ class Statistic(NamedTuple):
 
 
 def _bytes(statistic: Statistic, n: int, **keywords) -> int:
-    """Most bytes one replicate holds in its chunk: a block of draws and a comparison's
-    booleans, a stepped tile and tau's booleans on it, a pooled stream, its heads and
-    scalars, whatever the statistic, and the statistic's own rows."""
+    """Most bytes one replicate holds in its chunk: the engine's, whatever the statistic (a
+    block of draws and a comparison's booleans, a stepped tile and tau's booleans on it, a
+    pooled stream, its heads and scalars), and the statistic's own rows."""
     return 9 * BLOCK + 9 * TILE + STREAM_BYTES + HEAD_BYTES + 128 + statistic.rows(n, **keywords)
 
 
