@@ -15,9 +15,9 @@ it reads, in pieces of BLOCK words).
 The urn chain is drawn a block at a time, stepped a tile at a time: a
 block holds BLOCK draws per replicate, and each tile of TILE of its steps
 is transposed to contiguous rows, stepped in place and handed to the
-statistic's reducer (see _urn_paths); only the L family (L, L_window,
-L_hat, window_pair), whose float sums run over whole rows, copies the tiles
-back into whole paths.
+statistic's reducer (see _urn_paths).  No reducer rebuilds a path: the L
+family (L, L_window, L_hat, window_pair) reduces the tiles and the waiting
+times into one row of terms per replicate, a level each (see _levels).
 
 Every statistic is one Statistic record in STATISTICS: how a chunk draws
 and reduces its replicates, its keywords and their check, and the bytes of
@@ -139,38 +139,37 @@ def _uniform_rows(seed: int, stream_id: int, start: int, count: int, draws: int,
 
 
 def _urn_paths(n: int, chunk: tuple, horizon: int, take: Callable[[int, np.ndarray], None],
-               times: np.ndarray | None = None) -> None:
+               timed: Callable[[int, np.ndarray], None] | None = None) -> None:
     """Draw and step U_1..U_horizon of a chunk's replicates, handing each tile to take.
 
     chunk is (seed, stream_id, start, count).  take(first, tile) is called
-    on each stepped tile in order: tile[j] holds U_(first+j+1) of every
-    replicate, and is overwritten once take returns.  With times, of shape
-    (count, n-1) and only at horizon n-1, the n-1 waiting-time uniforms
-    that follow the urn uniforms in each stream are copied into it from the
-    same pieces.  The chain is drawn a block at a time, stepped a tile at a
-    time: BLOCK draws per row at once, whose urn uniforms are transposed
-    TILE columns at a time into one buffer, so each step works in place on
-    contiguous rows, and each row then holds the states it drove.  The state
-    is float64 holding exact integers (u(u-1) and u(balls-u) stay below
-    2^53), so the thresholds are urn._float_thresholds' bit for bit.
+    on each stepped tile in order: tile[i] holds U_(first+i) of every
+    replicate, tile[0] the state carried in, and is overwritten once take
+    returns.  With timed (at horizon n-1), the n-1 waiting-time uniforms
+    after the urn uniforms come in the same blocks: after a block's tiles,
+    timed(first, w) gets them, w[:, c] time uniform first + c of every row,
+    and may overwrite them.  The chain is drawn a block at a time, stepped a
+    tile at a time: BLOCK draws per row at once, whose urn uniforms are
+    transposed TILE columns at a time into one buffer, so each step works in
+    place on contiguous rows, and each row then holds the states it drove.
+    The state is float64 holding exact integers (u(u-1) and u(balls-u) stay
+    below 2^53), so the thresholds are urn._float_thresholds' bit for bit.
     """
     sub, mul, div, add = np.subtract, np.multiply, np.divide, np.add
     less, greater_equal = np.less, np.greater_equal
     count = chunk[3]
-    total = horizon if times is None else horizon + n - 1
-    buffer = np.empty((min(TILE, horizon), count))
-    u = carry = np.zeros(count)
+    total = horizon if timed is None else horizon + n - 1
+    buffer = np.zeros((min(TILE, horizon) + 1, count))  # row 0: the state carried in, U_0 = 0
     down, stay = np.empty(count), np.empty(count)
     below, above = np.empty(count, dtype=bool), np.empty(count, dtype=bool)
     for first in range(0, total, BLOCK):
         w = _uniform_rows(*chunk, min(BLOCK, total - first), first)
         m = min(max(horizon - first, 0), w.shape[1])  # urn columns of this block
-        if m < w.shape[1]:
-            times[:, first + m - horizon:first + w.shape[1] - horizon] = w[:, m:]
         for a in range(0, m, TILE):
-            tile = buffer[:min(TILE, m - a)]
-            _copy_transposed(tile, w[:, a:a + len(tile)])
-            for j, row in enumerate(tile, first + a):  # from U_j to U_(j+1)
+            tile = buffer[:min(TILE, m - a) + 1]
+            for i in range(0, count, TILE):  # transposed in tiles that stay in cache
+                np.copyto(tile[1:, i:i + TILE], w[i:i + TILE, a:a + len(tile) - 1].T)
+            for j, (u, row) in enumerate(zip(tile, tile[1:]), first + a):  # U_j to U_(j+1)
                 balls = n - j
                 pairs = float(balls * (balls - 1))  # twice the scalar sampler's denom
                 # positional out: keyword arguments cost more than a step's arithmetic
@@ -179,17 +178,11 @@ def _urn_paths(n: int, chunk: tuple, horizon: int, take: Callable[[int, np.ndarr
                 add(stay, down, stay)
                 less(row, down, below); greater_equal(row, stay, above)
                 sub(u, below, row); add(row, above, row)  # the row now holds U_(j+1)
-                u = row
-            np.copyto(carry, u)  # the next tile overwrites the buffer
-            u = carry
             take(first + a, tile)
+            np.copyto(buffer[0], tile[-1])
+        if m < w.shape[1]:
+            timed(first + m - horizon, w[:, m:])
         del w  # before the next block is drawn
-
-
-def _copy_transposed(dst: np.ndarray, src: np.ndarray) -> None:
-    """dst[...] = src.T, casting; in tiles of rows of src that stay in cache."""
-    for i in range(0, src.shape[0], TILE):
-        np.copyto(dst[:, i:i + TILE], src[i:i + TILE].T, casting="unsafe")
 
 
 def _times(n: int, w: np.ndarray, first: int = 0, prior: np.ndarray | None = None) -> np.ndarray:
@@ -209,14 +202,6 @@ def _times(n: int, w: np.ndarray, first: int = 0, prior: np.ndarray | None = Non
         w[:, 0] += prior
     np.cumsum(w, axis=1, out=w)
     return w
-
-
-def _merge_counts(paths: np.ndarray) -> np.ndarray:
-    """X_1..X_(n-1) per row from trajectories, via X_k = 1 + U_(n-k) - U_(n-k-1)."""
-    n = paths.shape[1] - 1
-    x = paths[:, n - 1:0:-1] - paths[:, n - 2::-1]
-    x += 1
-    return x
 
 
 def _rho_inverse_cdf(n: int, w: np.ndarray) -> np.ndarray:
@@ -284,50 +269,52 @@ def _r(n: int, chunk: tuple) -> np.ndarray:
     return out
 
 
-def _paths_times(n: int, chunk: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Whole int32 paths U_0..U_n and times, column k-1 holding T_k; T_n = 0 is implicit."""
-    paths = np.zeros((chunk[3], n + 1), dtype=np.int32)
-    w = np.empty((chunk[3], n - 1))
+def _levels(n: int, chunk: tuple, hat: bool = False) -> np.ndarray:
+    """Per replicate, the L family's terms: urn step j and time column j go from level
+    n-j to k = n-1-j, and column j holds T_k X_k, X_k = 1 + U_(j+1) - U_j; with hat,
+    (k+1 - V_(k+1))(T_k - T_(k+1)), V_(k+1) = U_j, the increment from the cumulative
+    times.  The tiles write each column's factor, and each block's times multiply in."""
+    row, prior = np.empty((chunk[3], n - 1)), np.zeros(chunk[3])  # T_(n-first), T_n = 0
 
     def take(first, tile):
-        _copy_transposed(paths[:, first + 1:first + len(tile) + 1], tile)
+        seg = row[:, first:first + len(tile) - 1]
+        if hat:
+            np.subtract(np.arange(n - first, n + 1 - first - len(tile), -1.0), tile[:-1].T, out=seg)
+        else:
+            np.subtract(tile[1:].T, tile[:-1].T, out=seg)
+            seg += 1.0
 
-    _urn_paths(n, chunk, n - 1, take, w)
-    return paths, _times(n, w)[:, ::-1]
+    def timed(first, w):
+        t = _times(n, w, first, prior)
+        end = t[:, -1].copy()
+        if hat:  # T_k - T_(k+1), right to left: no column is read once it is written
+            for c in range(t.shape[1] - 1, -1, -1):
+                np.subtract(t[:, c], t[:, c - 1] if c else prior, out=t[:, c])
+        np.copyto(prior, end)
+        row[:, first:first + t.shape[1]] *= t
 
-
-def _whole(reduce: Callable[..., np.ndarray], *rest, **fields) -> Statistic:
-    """An L-family statistic: reduce(n, paths, t, **keywords) on whole paths and times.
-
-    Its rows: int32 paths (4n), float64 times (8n), and L_hat's increments and weights
-    (16n), the largest of the family's reductions.  rest and fields are the Statistic's
-    other fields.
-    """
-    return Statistic(lambda n, chunk, **keywords: reduce(n, *_paths_times(n, chunk), **keywords),
-                     *rest, rows=lambda n, **_: 28 * (n + 1), **fields)
-
-
-def _window(n: int, t: np.ndarray, x: np.ndarray, alpha: float, beta: float) -> np.ndarray:
-    """Per-row external length on levels ceil(n^alpha)..ceil(n^beta)-1."""
-    lo, hi = max(ceil_pow(n, alpha), 1), min(ceil_pow(n, beta) - 1, n - 1)
-    return (t[:, lo - 1:hi] * x[:, lo - 1:hi]).sum(axis=1)
+    _urn_paths(n, chunk, n - 1, take, timed)
+    return row
 
 
-def _hat_length(n: int, paths: np.ndarray, t: np.ndarray, alpha: float, beta: float) -> np.ndarray:
+def _windows(n: int, chunk: tuple, *windows) -> np.ndarray:
+    """Per replicate, a column per window (alpha, beta): the external length on levels
+    ceil(n^alpha)..ceil(n^beta)-1, columns n-1-k of _levels' row, summed up the levels."""
+    row = _levels(n, chunk)
+    return np.column_stack([row[:, n - min(ceil_pow(n, beta), n):n - max(ceil_pow(n, alpha), 1)]
+                            [:, ::-1].sum(axis=1) for alpha, beta in windows])
+
+
+def _hat_length(n: int, chunk: tuple, alpha: float, beta: float) -> np.ndarray:
+    """The increment form's sum over levels m+1..n less its sum over levels M+1..n."""
     m, big_m = max(floor_pow(n, alpha), 1), floor_pow(n, beta)
-    # increments T_(k-1) - T_k for k = 2..n, aligned so column k-2 is level k
-    inc = np.empty((t.shape[0], n - 1))
-    np.subtract(t[:, 0:n - 2], t[:, 1:n - 1], out=inc[:, :n - 2])
-    inc[:, n - 2] = t[:, n - 2]  # T_(n-1) - T_n with T_n = 0
-    # weights k - U_(n-k), exact in float64; the products are made in place
-    contrib = np.subtract(np.arange(2, n + 1, dtype=float), paths[:, n - 2::-1])
-    contrib *= inc
-    return contrib[:, m - 1:].sum(axis=1) - contrib[:, big_m - 1:].sum(axis=1)
+    row = _levels(n, chunk, hat=True)[:, ::-1]  # column k-2 holds level k's term
+    return row[:, m - 1:].sum(axis=1) - row[:, big_m - 1:].sum(axis=1)
 
 
-def _window_pair(n: int, paths: np.ndarray, t: np.ndarray, window1, window2) -> np.ndarray:
-    x = _merge_counts(paths)
-    return np.column_stack([_window(n, t, x, *window1), _window(n, t, x, *window2)])
+def _level_rows(n: int, **keywords) -> int:
+    """The L family's rows: _levels' row of n-1 terms, its prior and the next one."""
+    return 8 * (n + 1)
 
 
 def _tau_hits(n: int, first: int, block: np.ndarray) -> np.ndarray:
@@ -345,7 +332,7 @@ def _tau(n: int, chunk: tuple) -> np.ndarray:
     hits = np.zeros(chunk[3], dtype=np.int64)
 
     def take(first, tile):
-        np.add(hits, _tau_hits(n, first, tile), out=hits)
+        np.add(hits, _tau_hits(n, first, tile[1:]), out=hits)
 
     _urn_paths(n, chunk, n - 1, take)
     return hits.astype(float)
@@ -357,8 +344,8 @@ def _snapshot(n: int, chunk: tuple, steps) -> np.ndarray:
     out = np.zeros((chunk[3], len(steps)))
 
     def take(first, tile):
-        now = (steps > first) & (steps <= first + len(tile))
-        out[:, now] = tile[steps[now] - first - 1].T
+        now = (steps > first) & (steps < first + len(tile))
+        out[:, now] = tile[steps[now] - first].T
 
     _urn_paths(n, chunk, int(steps[steps < n].max(initial=0)), take)
     return out
@@ -394,8 +381,8 @@ def _eta_count(n: int, chunk: tuple, a: float, b: float) -> np.ndarray:
     u = np.zeros((2, count))  # U_(c_a) and U_(c_b)
 
     def take(first, tile):
-        now = (ends > first) & (ends <= first + len(tile))
-        u[now] = tile[ends[now] - first - 1, np.nonzero(now)[1]]
+        now = (ends > first) & (ends < first + len(tile))
+        u[now] = tile[ends[now] - first, np.nonzero(now)[1]]
 
     _urn_paths(n, chunk, int(ends.max()), take)
     return ends[1] - ends[0] + (u[1] - u[0])
@@ -422,11 +409,10 @@ def _check_windows(n: int, window1, window2) -> None:
 
 
 STATISTICS: dict[str, Statistic] = {
-    "L": _whole(lambda n, paths, t: (t * _merge_counts(paths)).sum(axis=1)),
-    "L_window": _whole(lambda n, paths, t, alpha, beta:
-                       _window(n, t, _merge_counts(paths), alpha, beta),
-                       ("alpha", "beta"), _check_exponents),
-    "L_hat": _whole(_hat_length, ("alpha", "beta"), _check_exponents),
+    "L": Statistic(lambda n, chunk: _levels(n, chunk)[:, ::-1].sum(axis=1), rows=_level_rows),
+    "L_window": Statistic(lambda n, chunk, alpha, beta: _windows(n, chunk, (alpha, beta))[:, 0],
+                          ("alpha", "beta"), _check_exponents, rows=_level_rows),
+    "L_hat": Statistic(_hat_length, ("alpha", "beta"), _check_exponents, rows=_level_rows),
     "tau": Statistic(_tau),
     "rho": Statistic(lambda n, chunk: _rho_inverse_cdf(n, _uniform_rows(*chunk, 1)[:, 0])
                      .astype(float)),
@@ -437,7 +423,9 @@ STATISTICS: dict[str, Statistic] = {
     # its row of values, twice: simulate concatenates the chunks' rows
     "urn_snapshot": Statistic(_snapshot, ("steps",), _check_steps, two_d=True,
                               rows=lambda n, steps: 16 * len(steps)),
-    "window_pair": _whole(_window_pair, ("window1", "window2"), _check_windows, two_d=True),
+    "window_pair": Statistic(lambda n, chunk, window1, window2:
+                             _windows(n, chunk, window1, window2),
+                             ("window1", "window2"), _check_windows, two_d=True, rows=_level_rows),
 }
 
 

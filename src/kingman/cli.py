@@ -62,28 +62,37 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-_SCALAR_QUANTITIES = {
+# the options each quantity takes: e_hat and var_hat take one of --m and --alpha
+_QUANTITIES = {
     "e_U": ("k",), "cov_U": ("k", "l"), "e_X": ("k",), "var_X": ("k",),
     "cov_X": ("k", "l"), "e_T": ("k",), "var_T": ("k",), "fu_li_var": (),
     "rho_cdf": ("k",), "e_L_window": ("alpha", "beta"),
     "var_L_window_asymptotic": ("alpha", "beta"), "var_L_window_exact": ("alpha", "beta"),
+    "e_hat": ("m", "alpha"), "var_hat": ("m", "alpha"),
 }
 
 
 def _evaluate_quantity(args) -> tuple[object, dict]:
-    """The quantity's value, and the keywords it took that the CSV row has no column for."""
+    """The quantity's value, and the keywords it took that the CSV row has no column for;
+    an option the quantity does not take is refused, so the row holds only its own."""
     from . import moments
     q = args.quantity
-    if q in _SCALAR_QUANTITIES:
-        return getattr(moments, q)(args.n, *_required(args, q, _SCALAR_QUANTITIES[q])), {}
-    if q in ("e_hat", "var_hat"):
-        if args.m is not None and args.alpha is not None:
-            raise ValueError(f"{q} takes --m or --alpha, not both")
-        m = args.m if args.alpha is None else floor_pow(args.n, args.alpha)
-        if m is None:
-            raise ValueError(f"{q} requires --m or --alpha")
-        return getattr(moments, q)(args.n, m), {"m": m}
-    raise ValueError(f"unknown quantity {args.quantity!r}")
+    takes = _QUANTITIES.get(q)
+    if takes is None:
+        raise ValueError(f"unknown quantity {q!r}")
+    extra = [f"--{f}" for f in ("k", "l", "m", "alpha", "beta")
+             if f not in takes and getattr(args, f) is not None]
+    if extra:
+        names = (" or " if "m" in takes else ", ").join(f"--{f}" for f in takes)
+        raise ValueError(f"{q} takes {names or 'no options'}; it does not take {', '.join(extra)}")
+    if "m" not in takes:
+        return getattr(moments, q)(args.n, *_required(args, q, takes)), {}
+    if args.m is not None and args.alpha is not None:
+        raise ValueError(f"{q} takes --m or --alpha, not both")
+    m = args.m if args.alpha is None else floor_pow(args.n, args.alpha)
+    if m is None:
+        raise ValueError(f"{q} requires --m or --alpha")
+    return getattr(moments, q)(args.n, m), {"m": m}
 
 
 def cmd_moments(args) -> int:

@@ -231,6 +231,20 @@ def test_block_reducers_hold_memory_flat_in_n():
         tracemalloc.stop()
 
 
+def test_level_rows_grow_by_eight_bytes_per_level():
+    # The L family keeps one float64 term per level and replicate, and the rest
+    # of its chunk is bounded by a block: one chunk's traced peak per
+    # replicate grows by about 8 bytes a level.
+    reps = 256  # one chunk at both n
+    tracemalloc.start()
+    try:
+        for stat, params in (("L", {}), ("L_hat", {"alpha": 0.4, "beta": 0.9})):
+            peaks = [traced_peak(stat, n, reps, SEED, **params) / reps for n in (2000, 20_000)]
+            assert (peaks[1] - peaks[0]) / 18_000 <= 8.5, (stat, peaks)
+    finally:
+        tracemalloc.stop()
+
+
 def test_tau_hits_count_tau_on_every_path():
     # the hit count equals tau on every path of positive probability, in blocks of 1-3 steps
     for n in range(2, 10):
@@ -241,6 +255,104 @@ def test_tau_hits_count_tau_on_every_path():
             hits = sum(batch._tau_hits(n, first, rows[first:first + size])
                        for first in range(0, n - 1, size))
             assert hits.tolist() == expect, (n, size)
+
+
+class Words:
+    """A stream that serves the given words, for the scalar samplers."""
+
+    def __init__(self, words):
+        self.words = iter(words.tolist())
+
+    def random(self):
+        return next(self.words)
+
+
+def path_words(n):
+    """Each path of urn.exact_path_law(n), and words per replicate that force it: step j's
+    word is the midpoint of the urn._float_thresholds interval of its move, and the n-1
+    time words after them are fixed."""
+    paths = list(urn.exact_path_law(n))
+    words = np.random.default_rng(n).random((len(paths), 2 * (n - 1)))
+    for r, path in enumerate(paths):
+        for j in range(n - 1):
+            down, stay = urn._float_thresholds(n, j, path[j])
+            lo, hi = {-1: (0.0, down), 0: (down, stay), 1: (stay, 1.0)}[path[j + 1] - path[j]]
+            words[r, j] = (lo + hi) / 2
+    return paths, words
+
+
+def serve(words):
+    """_uniform_rows over fixed words: row p is words[start + order[p]][offset:offset + draws]."""
+    def uniform_rows(seed, stream_id, start, count, draws, offset=0, order=None, lengths=None):
+        rows = np.arange(count) if order is None else order
+        out = words[start + rows, offset:offset + draws].copy()
+        if lengths is not None:
+            out[np.arange(draws) >= lengths[:, None]] = 0.0
+        return out
+    return uniform_rows
+
+
+def scalar_rho(n, w):
+    return max(k for k in range(1, n) if moments.rho_cdf(n, k) <= w)
+
+
+WINDOWS = [(0.0, 1.0), (0.0, 0.5), (0.3, 0.8), (0.5, 1.0), (0.6, 0.7)]
+# per statistic: its keyword sets at n, and its value from the scalar samplers' path,
+# times and history, driven by the same words, and from the words themselves
+SCALAR = {
+    "L": (lambda n: [{}],
+          lambda path, times, hist, w: coalescent.total_external_length(times, hist)),
+    "L_window": (lambda n: [{"alpha": a, "beta": b} for a, b in WINDOWS],
+                 lambda path, times, hist, w, alpha, beta:
+                 coalescent.window_external_length(times, hist, alpha, beta)),
+    "L_hat": (lambda n: [{"alpha": a, "beta": b} for a, b in WINDOWS],
+              lambda path, times, hist, w, alpha, beta:
+              coalescent.hat_external_length(times, hist, alpha, beta)),
+    "tau": (lambda n: [{}], lambda path, times, hist, w: urn.tau(path)),
+    "rho": (lambda n: [{}], lambda path, times, hist, w: scalar_rho(hist.n, w[0])),
+    "R": (lambda n: [{}], lambda path, times, hist, w: coalescent.single_branch_length(
+        coalescent.sample_waiting_times(hist.n, Words(w[1:])), scalar_rho(hist.n, w[0]))[0]),
+    "urn_marginal": (lambda n: [{"k": k} for k in range(n + 1)],
+                     lambda path, times, hist, w, k: path.u[k]),
+    "eta_count": (lambda n: [{"a": 0.5, "b": 3.0}, {"a": 1e-9, "b": 1e9}],
+                  lambda path, times, hist, w, a, b:
+                  coalescent.scaled_point_pattern(times, hist).count(a, b)),
+    "urn_snapshot": (lambda n: [{"steps": list(range(n + 1))}],
+                     lambda path, times, hist, w, steps: [path.u[s] for s in steps]),
+    "window_pair": (lambda n: [{"window1": WINDOWS[i], "window2": WINDOWS[i + 1]}
+                               for i in range(len(WINDOWS) - 1)],
+                    lambda path, times, hist, w, window1, window2:
+                    [coalescent.window_external_length(times, hist, *window1),
+                     coalescent.window_external_length(times, hist, *window2)]),
+}
+INTEGER = {"tau", "rho", "urn_marginal", "eta_count", "urn_snapshot"}
+
+
+def test_every_statistic_matches_scalar_on_every_path(monkeypatch):
+    # Every path of positive probability at n = 2..9, through every statistic:
+    # a level read one step off changes some path's value.
+    assert SCALAR.keys() == batch.STATISTICS.keys()
+    for n in range(2, 10):
+        paths, words = path_words(n)
+        monkeypatch.setattr(batch, "_uniform_rows", serve(words))
+        drawn = []
+        for w in words:
+            rng = Words(w)
+            path = urn.sample_urn_path(n, rng)
+            times = coalescent.sample_waiting_times(n, rng)
+            drawn.append((path, times, coalescent.history_from_urn_path(path), w))
+        assert [path.u for path, *_ in drawn] == paths
+        # L_hat is a difference of two sums: compare to the lengths' scale, n T_1
+        scale = n * max(times.t[1] for _, times, _, _ in drawn)
+        for stat, (keywords, scalar) in SCALAR.items():
+            for params in keywords(n):
+                got = batch.simulate(stat, n, len(paths), SEED, **params)
+                expect = np.array([scalar(*case, **params) for case in drawn], dtype=float)
+                if stat in INTEGER:
+                    assert got.tolist() == expect.tolist(), (stat, n, params)
+                else:
+                    np.testing.assert_allclose(got, expect, rtol=1e-12, atol=1e-12 * scale,
+                                               err_msg=f"{stat} {n} {params}")
 
 
 def test_width_at_a_million_fits_the_budget():

@@ -118,6 +118,20 @@ def test_moments_usage_errors():
                         "--alpha", "0.5"]) == 2
 
 
+def test_moments_refuse_options_their_quantity_does_not_take(capsys):
+    # the CSV row would record them as if they were used
+    cases = [(["e_U", "--k", "2", "--l", "4", "--alpha", "0.5"], "e_U takes --k;"),
+             (["cov_X", "--k", "2", "--l", "4", "--m", "3"], "cov_X takes --k, --l;"),
+             (["fu_li_var", "--beta", "0.5"], "fu_li_var takes no options;"),
+             (["e_hat", "--alpha", "0.5", "--beta", "0.9"], "e_hat takes --m or --alpha;"),
+             (["var_hat", "--m", "3", "--k", "2"], "var_hat takes --m or --alpha;")]
+    for fmt in ("plain", "csv"):
+        for argv, message in cases:
+            assert run_cli(["moments", "--n", "10", "--format", fmt, "--quantity"] + argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and message in captured.err, (fmt, argv)
+
+
 def test_verify_exact_suite(tmp_path):
     out = tmp_path / "verify.txt"
     assert run_cli(["verify", "--suite", "exact", "--seed", "7",
