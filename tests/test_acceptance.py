@@ -18,13 +18,18 @@ import os
 
 import pytest
 
-from kingman import cli, moments, stats, verify
+from kingman import cli, moments, stats, urn, verify
 from kingman.indexing import floor_pow
 
 SEED = 7
 # SHA-256 of the `kingman verify --suite all --seed 7` report; any change to a
 # sampler, a gate or the report format moves it
 REPORT_SHA256 = "a32cac8ac29502e923f5c816b7d557a736312a43c2f1a0bfb45ecb2ae65c2366"
+# the (got, want) pairs each exact criterion compares; a changed count is a changed check
+EXACT_CHECKS = {"reversibility_exact": 216, "chain_moments_exact": 533,
+                "hypergeometric_marginal_exact": 10_725, "permutation_representation_exact": 17,
+                "box_scheme_exact": 8, "variance_identity_exact": 9_998,
+                "martingale_identity_exact": 84_575, "tau_tail_exact": 44}
 
 
 @pytest.fixture(scope="module")
@@ -68,49 +73,54 @@ def check(number, label, report):
     assert report.passed, line
 
 
+def check_exact(number, label, report):
+    check(number, label, report)
+    assert (report.params["checks"], report.statistic) == (EXACT_CHECKS[report.name], 0), report
+
+
 def show_limit(number, label, report):
     """Print a limit-law gate's verdict; its pass flag is not asserted."""
     print(verdict_line(number, label, report) + " [limit law, not asserted]")
 
 
 def test_criterion_01_path_law_reversibility(reports):
-    check(1, "path law equals its time reversal, n <= 9",
-          reports["reversibility_exact"])
+    check_exact(1, "path law equals its time reversal, n <= 9",
+                reports["reversibility_exact"])
 
 
 def test_criterion_02_chain_moments(reports):
-    check(2, "DP chain means/covariances equal closed forms, n <= 12",
-          reports["chain_moments_exact"])
+    check_exact(2, "DP chain means/covariances equal closed forms, n <= 12",
+                reports["chain_moments_exact"])
 
 
 def test_criterion_03_hypergeometric_marginal(reports):
-    check(3, "chain marginal is the shifted hypergeometric, n <= 50",
-          reports["hypergeometric_marginal_exact"])
+    check_exact(3, "chain marginal is the shifted hypergeometric, n <= 50",
+                reports["hypergeometric_marginal_exact"])
 
 
 def test_criterion_04_permutation_representation(reports):
-    check(4, "permutation-pair enumeration reproduces the path law, n <= 6",
-          reports["permutation_representation_exact"])
+    check_exact(4, "permutation-pair enumeration reproduces the path law, n <= 6",
+                reports["permutation_representation_exact"])
 
 
 def test_criterion_05_box_scheme(reports):
-    check(5, "box-scheme enumeration equals the chain law, n <= 5",
-          reports["box_scheme_exact"])
+    check_exact(5, "box-scheme enumeration equals the chain law, n <= 5",
+                reports["box_scheme_exact"])
 
 
 def test_criterion_06_variance_identity(reports):
-    check(6, "truncated variance at m=1 equals total-length variance, n <= 10^4",
-          reports["variance_identity_exact"])
+    check_exact(6, "truncated variance at m=1 equals total-length variance, n <= 10^4",
+                reports["variance_identity_exact"])
 
 
 def test_criterion_07_martingale_identity(reports):
-    check(7, "one-step conditional mean identity for all states, n <= 100",
-          reports["martingale_identity_exact"])
+    check_exact(7, "one-step conditional mean identity for all states, n <= 100",
+                reports["martingale_identity_exact"])
 
 
 def test_criterion_08_tau_tail(reports):
-    check(8, "product-formula tau tail equals enumeration, n <= 9",
-          reports["tau_tail_exact"])
+    check_exact(8, "product-formula tau tail equals enumeration, n <= 9",
+                reports["tau_tail_exact"])
 
 
 def test_criterion_09_total_length_mean(reports):
@@ -163,9 +173,19 @@ def test_criterion_12_scaled_point_counts(reports, samples):
     assert 0 < gaps[2] < gaps[1] < gaps[0] and gaps[2] < 0.02, gaps
 
 
-def test_criterion_13_vanishing_window_bound(reports):
-    check(13, "P(short-window length > 0) within exact bound + 4 SE",
-          reports["vanishing_window_bound"])
+def test_criterion_13_vanishing_window_bound(reports, samples):
+    gate = reports["vanishing_window_bound"]
+    check(13, "P(short-window length > 0) within exact bound + 4 SE", gate)
+    # the event is {U_(n-m) < m}, whose exact probability the shifted
+    # hypergeometric marginal gives
+    n, m = gate.params["n"], gate.params["m"]
+    exact = sum(urn.hypergeometric_pmf(n, n - m, r) for r in range(m - 1))
+    report = stats.mean_test(samples[verify._S_T4][:, 0] < m, exact, exact * (1 - exact),
+                             name="vanishing_window_exact", seed=gate.seed,
+                             params={"n": n, "m": m})
+    assert report.statistic == gate.statistic
+    check(13, f"P(U_(n-m) < m) within 4 SE of exact {float(exact):.6g}, n=10^4 m={m}",
+          report)
 
 
 def test_criterion_14_tau_limit(reports):
@@ -173,9 +193,21 @@ def test_criterion_14_tau_limit(reports):
           reports["tau_limit_ks"])
 
 
-def test_criterion_15_single_branch_limit(reports):
-    check(15, "n R_n vs 1 - 4/(x+2)^2, KS distance <= 0.05",
-          reports["single_branch_limit_ks"])
+def test_criterion_15_single_branch_limit(reports, samples):
+    gate = reports["single_branch_limit_ks"]
+    check(15, "n R_n vs 1 - 4/(x+2)^2, KS distance <= 0.05", gate)
+
+    # P(R <= x) = 1 - M(x)/(n(n-1)), with M(x) = E(N_x(N_x - 1)) of the
+    # block-counting process started at n blocks
+    def r_cdf(n, x):
+        return 1.0 - moments._block_count_factorial_moment(n, x) / (n * (n - 1))
+
+    for x in (1e-3, 0.5, 1.0, 4.0):  # at n = 2 both lineages wait for one Exp(1) merger
+        assert r_cdf(2, x) == pytest.approx(-math.expm1(-x), abs=1e-15), x
+    n = gate.params["n"]
+    check(15, f"R_n vs its exact finite-n law, KS p >= 0.001, n={n}",
+          stats.ks_test(samples[verify._S_R], lambda x: r_cdf(n, x),
+                        name="single_branch_exact_ks", seed=gate.seed, params={"n": n}))
 
 
 def test_criterion_16_gp_covariance(reports):

@@ -18,14 +18,6 @@ from kingman.rng import replicate_key, replicate_stream
 SEED = 2024
 
 
-def scalar_L(n, rep, seed, stream_id=0):
-    rng = replicate_stream(seed, rep, stream_id)
-    path = urn.sample_urn_path(n, rng)
-    times = coalescent.sample_waiting_times(n, rng)
-    return coalescent.total_external_length(times,
-                                            coalescent.history_from_urn_path(path))
-
-
 def test_repeatable():
     a = batch.simulate("L", 20, 300, SEED)
     b = batch.simulate("L", 20, 300, SEED)
@@ -296,7 +288,7 @@ def scalar_rho(n, w):
     return max(k for k in range(1, n) if moments.rho_cdf(n, k) <= w)
 
 
-WINDOWS = [(0.0, 1.0), (0.0, 0.5), (0.3, 0.8), (0.5, 1.0), (0.6, 0.7)]
+WINDOWS = [(0.0, 1.0), (0.0, 0.5), (0.3, 0.8), (0.5, 1.0), (0.6, 0.7), (0.4, 0.9)]
 # per statistic: its keyword sets at n, and its value from the scalar samplers' path,
 # times and history, driven by the same words, and from the words themselves
 SCALAR = {
@@ -328,6 +320,30 @@ SCALAR = {
 INTEGER = {"tau", "rho", "urn_marginal", "eta_count", "urn_snapshot"}
 
 
+def scalar_cases(n, words):
+    """Each row of words through the scalar samplers: (path, times, history, row)."""
+    cases = []
+    for w in words:
+        rng = Words(w)
+        path = urn.sample_urn_path(n, rng)
+        times = coalescent.sample_waiting_times(n, rng)
+        cases.append((path, times, coalescent.history_from_urn_path(path), w))
+    return cases
+
+
+def assert_matches_scalar(stat, n, cases, rel, abs):
+    """stat at each of its SCALAR keyword sets against the scalar value of each case,
+    integers exactly."""
+    keywords, scalar = SCALAR[stat]
+    for params in keywords(n):
+        got = batch.simulate(stat, n, len(cases), SEED, **params)
+        expect = np.array([scalar(*case, **params) for case in cases], dtype=float)
+        if stat in INTEGER:
+            assert got.tolist() == expect.tolist(), (stat, n, params)
+        else:
+            assert got == pytest.approx(expect, rel=rel, abs=abs), (stat, n, params)
+
+
 def test_every_statistic_matches_scalar_on_every_path(monkeypatch):
     # Every path of positive probability at n = 2..9, through every statistic:
     # a level read one step off changes some path's value.
@@ -335,24 +351,28 @@ def test_every_statistic_matches_scalar_on_every_path(monkeypatch):
     for n in range(2, 10):
         paths, words = path_words(n)
         monkeypatch.setattr(batch, "_uniform_rows", serve(words))
-        drawn = []
-        for w in words:
-            rng = Words(w)
-            path = urn.sample_urn_path(n, rng)
-            times = coalescent.sample_waiting_times(n, rng)
-            drawn.append((path, times, coalescent.history_from_urn_path(path), w))
-        assert [path.u for path, *_ in drawn] == paths
+        cases = scalar_cases(n, words)
+        assert [path.u for path, *_ in cases] == paths
         # L_hat is a difference of two sums: compare to the lengths' scale, n T_1
-        scale = n * max(times.t[1] for _, times, _, _ in drawn)
-        for stat, (keywords, scalar) in SCALAR.items():
-            for params in keywords(n):
-                got = batch.simulate(stat, n, len(paths), SEED, **params)
-                expect = np.array([scalar(*case, **params) for case in drawn], dtype=float)
-                if stat in INTEGER:
-                    assert got.tolist() == expect.tolist(), (stat, n, params)
-                else:
-                    np.testing.assert_allclose(got, expect, rtol=1e-12, atol=1e-12 * scale,
-                                               err_msg=f"{stat} {n} {params}")
+        scale = n * max(times.t[1] for _, times, _, _ in cases)
+        for stat in SCALAR:
+            assert_matches_scalar(stat, n, cases, rel=1e-12, abs=1e-12 * scale)
+
+
+# n and replicates per statistic on real streams
+REAL_STREAMS = {"L": (30, 100), "L_window": (60, 100), "L_hat": (40, 100), "tau": (25, 300),
+                "rho": (25, 300), "R": (30, 300), "urn_marginal": (15, 200),
+                "eta_count": (50, 200), "urn_snapshot": (40, 100), "window_pair": (60, 100)}
+
+
+@pytest.mark.parametrize("stat", SCALAR)
+def test_every_statistic_matches_scalar_on_real_streams(stat):
+    # the words batch.simulate draws: each replicate's n-1 urn words, then its n-1 time words
+    n, reps = REAL_STREAMS[stat]
+    words = np.array([replicate_stream(SEED, rep).random(2 * (n - 1)) for rep in range(reps)])
+    # L_hat is a difference of two sums
+    assert_matches_scalar(stat, n, scalar_cases(n, words),
+                          rel=1e-10 if stat == "L_hat" else 1e-12, abs=1e-12)
 
 
 def test_width_at_a_million_fits_the_budget():
@@ -557,68 +577,12 @@ def test_r_prefix_matches_whole_rows():
         assert got.tobytes() == expect.tobytes(), n
 
 
-def test_urn_marginal_matches_scalar_exactly():
-    n, k = 15, 6
-    vals = batch.simulate("urn_marginal", n, 200, SEED, k=k)
-    for rep in range(200):
-        rng = replicate_stream(SEED, rep)
-        path = urn.sample_urn_path(n, rng)
-        assert vals[rep] == path.u[k]
-
-
-def test_total_length_matches_scalar():
-    n = 30
-    vals = batch.simulate("L", n, 100, SEED)
-    for rep in range(100):
-        assert vals[rep] == pytest.approx(scalar_L(n, rep, SEED), rel=1e-12)
-
-
-def test_tau_matches_scalar_exactly():
-    n = 25
-    vals = batch.simulate("tau", n, 300, SEED)
-    for rep in range(300):
-        rng = replicate_stream(SEED, rep)
-        path = urn.sample_urn_path(n, rng)
-        assert vals[rep] == urn.tau(path)
-
-
-def test_hat_length_matches_scalar():
-    n, alpha, beta = 40, 0.4, 0.9
-    vals = batch.simulate("L_hat", n, 100, SEED, alpha=alpha, beta=beta)
-    for rep in range(100):
-        rng = replicate_stream(SEED, rep)
-        path = urn.sample_urn_path(n, rng)
-        times = coalescent.sample_waiting_times(n, rng)
-        hist = coalescent.history_from_urn_path(path)
-        expect = coalescent.hat_external_length(times, hist, alpha, beta)
-        assert vals[rep] == pytest.approx(expect, rel=1e-10, abs=1e-12)
-
-
-def test_window_matches_scalar():
-    n, alpha, beta = 60, 0.3, 0.8
-    vals = batch.simulate("L_window", n, 100, SEED, alpha=alpha, beta=beta)
-    for rep in range(100):
-        rng = replicate_stream(SEED, rep)
-        path = urn.sample_urn_path(n, rng)
-        times = coalescent.sample_waiting_times(n, rng)
-        hist = coalescent.history_from_urn_path(path)
-        expect = coalescent.window_external_length(times, hist, alpha, beta)
-        assert vals[rep] == pytest.approx(expect, rel=1e-12)
-
-
 def scalar_eta_count(n, rep, a, b):
     rng = replicate_stream(SEED, rep)
     path = urn.sample_urn_path(n, rng)
     times = coalescent.sample_waiting_times(n, rng)
     hist = coalescent.history_from_urn_path(path)
     return coalescent.scaled_point_pattern(times, hist).count(a, b)
-
-
-def test_eta_count_matches_scalar():
-    n, a, b = 50, 0.5, 3.0
-    vals = batch.simulate("eta_count", n, 200, SEED, a=a, b=b)
-    for rep in range(200):
-        assert vals[rep] == scalar_eta_count(n, rep, a, b)
 
 
 def test_eta_count_blocks_below_a_match_scalar(monkeypatch):

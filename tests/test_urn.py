@@ -129,6 +129,43 @@ def test_box_scheme_sampler_matches_exact_law():
     assert p_value > 0.001
 
 
+class Script:
+    """A stand-in rng whose integers(m) replays a script of choices, then 0s past
+    its end, and records each m it is asked for."""
+
+    def __init__(self, script):
+        self.script, self.ranges = script, []
+
+    def integers(self, m):
+        i = len(self.ranges)
+        self.ranges.append(m)
+        return self.script[i] if i < len(self.script) else 0
+
+
+def enumerated_law(sample):
+    """The law of the path sample(rng) returns, over every script of choices in
+    odometer order, each with probability prod 1/m."""
+    law, script = {}, []
+    while True:
+        rng = Script(script)
+        path = sample(rng).u
+        law[path] = law.get(path, 0) + math.prod(Fraction(1, m) for m in rng.ranges)
+        script = script + [0] * (len(rng.ranges) - len(script))
+        while script and script[-1] == rng.ranges[len(script) - 1] - 1:
+            script.pop()
+        if not script:
+            return law
+        script[-1] += 1
+
+
+def test_permutation_and_box_samplers_have_the_exact_path_law():
+    for n in range(2, 6):
+        law = dict(urn.exact_path_law(n))
+        assert enumerated_law(lambda rng: urn.path_from_permutations(
+            urn.sample_permutation_pair(n, rng))) == law, n
+        assert enumerated_law(lambda rng: urn.sample_box_scheme(n, rng)) == law, n
+
+
 def test_permutation_path_construction():
     rng = master_stream(11)
     for _ in range(200):
