@@ -26,9 +26,10 @@ holds MAX_WIDTH replicates, fewer where the L family's or urn_snapshot's
 rows would pass BUDGET (see _bytes).
 
 simulate is plan, run, concatenate: plan checks the arguments and cuts the
-replicates into chunk tasks, and run puts any list of tasks (verify adds
-its exact checks) on one pool of forked processes.  A chunk kernel is many
-small numpy steps that hold the interpreter lock: threads would take turns.
+replicates into chunk tasks, and run yields the results of any list of tasks
+(verify adds its exact checks) in task order as they are ready, from one pool
+of forked processes.  A chunk kernel is many small numpy steps that hold the
+interpreter lock: threads would take turns.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from typing import NamedTuple
 
 import numpy as np
@@ -99,8 +100,8 @@ def _uniform_rows(seed: int, stream_id: int, start: int, count: int, draws: int,
     order lists distinct rows of 0..count-1 (default: all of them, in
     order); with lengths, row p holds its first lengths[p] draws, then
     zeros.  Philox makes four 64-bit words per counter value and each draw
-    takes one word.  Draws within the first four words come from
-    _philox_heads; longer ones from this thread's pooled Philox per row.  A
+    takes one word.  Whole rows within the first four words come from
+    _philox_heads; the rest from this thread's pooled Philox per row.  A
     call whose rows are a prefix of the rows the last call of the same chunk
     drew to its end (those before the first shorter row) draws on where that
     call ended; any other re-keys the rows, each at counter offset // 4,
@@ -108,12 +109,9 @@ def _uniform_rows(seed: int, stream_id: int, start: int, count: int, draws: int,
     """
     rows = np.arange(count) if order is None else order
     replicate_key(seed, start + count - 1, stream_id)  # the key range of every row
-    if offset + draws <= 4:  # past one block a row, a Philox per row is the faster
+    if offset + draws <= 4 and lengths is None:  # past one block, a Philox per row is faster
         heads = _philox_heads(seed, stream_id, start, rows)[:, offset:offset + draws]
-        out = (heads >> 11) * 2.0 ** -53
-        if lengths is not None:
-            out[np.arange(draws) >= lengths[:, None]] = 0.0
-        return out
+        return (heads >> 11) * 2.0 ** -53
     pool = _STREAMS
     while len(pool.rows) < len(rows):
         bit_gen = np.random.Philox(key=0)
@@ -451,8 +449,7 @@ def check_seed(seed) -> None:  # plan's check, for callers that plan nothing
     _check_count("seed", seed, 0, 2 ** 64 - 1)
 
 
-# fn(*args) for run, with its cost in replicate levels stepped, or as many as take as long
-Task = NamedTuple("Task", [("cost", float), ("fn", Callable), ("args", tuple)])
+Task = NamedTuple("Task", [("fn", Callable), ("args", tuple)])  # fn(*args) for run
 
 
 def _call(task: Task):
@@ -480,13 +477,13 @@ def plan(statistic: str, n: int, reps: int, seed: int, *,
     workers = min(threads, count, _usable_cpus())
     count = min(reps, workers * -(-count // workers))
     size, extra = divmod(reps, count)  # equal chunks: no short one at the end
-    return [Task((size + (i < extra)) * n, _chunk_kernel, (statistic, n, seed, stream_id,
-                 i * size + min(i, extra), size + (i < extra), params)) for i in range(count)]
+    return [Task(_chunk_kernel, (statistic, n, seed, stream_id, i * size + min(i, extra),
+                                 size + (i < extra), params)) for i in range(count)]
 
 
-def run(tasks: list[Task], threads: int = 1) -> list:
-    """Each task's result, in task order: on one pool of min(threads, tasks, usable CPUs)
-    forked processes, biggest stated cost first, or with one worker here, in task order."""
+def run(tasks: list[Task], threads: int = 1) -> Iterator:
+    """Each task's result, in task order, once it and those before it have ended: from one
+    pool of min(threads, tasks, usable CPUs) forked processes, or with one worker, here."""
     _check_count("threads", threads, 1)
     workers = min(threads, len(tasks), _usable_cpus())
     if workers > 1:
@@ -495,12 +492,11 @@ def run(tasks: list[Task], threads: int = 1) -> list:
 
         if "fork" in get_all_start_methods():
             # fork: workers share the imported modules instead of importing them again
-            order = sorted(range(len(tasks)), key=lambda i: -tasks[i].cost)
             with ProcessPoolExecutor(workers, mp_context=get_context("fork")) as pool:
-                # map yields in submission order, and cancels the rest on an exception
-                done = dict(zip(order, pool.map(_call, [tasks[i] for i in order])))
-            return [done[i] for i in range(len(tasks))]
-    return [_call(task) for task in tasks]
+                # map yields in task order; closed early or on an exception, it cancels the rest
+                yield from pool.map(_call, tasks)
+            return
+    yield from map(_call, tasks)
 
 
 def simulate(statistic: str, n: int, reps: int, seed: int, *,
@@ -511,4 +507,4 @@ def simulate(statistic: str, n: int, reps: int, seed: int, *,
     checked before anything is drawn.  threads never changes the output.
     """
     tasks = plan(statistic, n, reps, seed, threads=threads, stream_id=stream_id, **params)
-    return np.concatenate(run(tasks, threads), axis=0)
+    return np.concatenate(list(run(tasks, threads)), axis=0)

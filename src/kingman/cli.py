@@ -7,8 +7,10 @@ Exit codes: 0 success / all tests pass, 1 test failure, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -27,11 +29,12 @@ def _required(args, what: str, fields: tuple[str, ...]) -> list:
     return [getattr(args, f) for f in fields]
 
 
-def _simulate(args) -> tuple[dict, np.ndarray]:
+def _simulate(args) -> tuple[dict, Iterator[np.ndarray]]:
+    """The statistic's keywords, checked, and its chunks' values as each is ready."""
     keywords = batch.STATISTICS[args.statistic].keywords
     params = dict(zip(keywords, _required(args, args.statistic, keywords)))
-    return params, batch.simulate(args.statistic, args.n, args.reps, args.seed,
-                                  threads=args.threads, **params)
+    tasks = batch.plan(args.statistic, args.n, args.reps, args.seed, threads=args.threads, **params)
+    return params, batch.run(tasks, args.threads)
 
 
 def _metadata_lines(args, fields: tuple[str, ...]) -> list[str]:
@@ -42,23 +45,23 @@ def _metadata_lines(args, fields: tuple[str, ...]) -> list[str]:
     return ["# kingman " + " ".join(parts)]
 
 
-def _write_text(path: str | None, text: str) -> None:
+def _write(path: str | None, parts: Iterable[str]) -> None:
+    """Write each of parts as it is made, to stdout for no path or "-": a file opens first."""
     if path is None or path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
         return
     with open(path, "w") as fh:
-        fh.write(text)
+        fh.writelines(parts)
 
 
 def cmd_simulate(args) -> int:
-    params, values = _simulate(args)
+    params, chunks = _simulate(args)
     lines = _metadata_lines(args, ("seed", "n", "reps", "statistic"))
-    for key, val in sorted(params.items()):
-        lines.append(f"# {key}={val}")
-    lines.append("rep,n,statistic,value")
-    for r, v in enumerate(values):
-        lines.append(f"{r},{args.n},{args.statistic},{float(v)!r}")
-    _write_text(args.out, "\n".join(lines) + "\n")
+    lines += [f"# {key}={val}" for key, val in sorted(params.items())]
+    reps = itertools.count()  # numbers replicates across chunks: zip asks for a value first
+    rows = ("".join(f"{r},{args.n},{args.statistic},{float(v)!r}\n"
+                    for v, r in zip(values.tolist(), reps)) for values in chunks)
+    _write(args.out, itertools.chain(["\n".join(lines + ["rep,n,statistic,value\n"])], rows))
     return 0
 
 
@@ -113,13 +116,13 @@ def cmd_moments(args) -> int:
             row.append("" if v is None else str(v))
         row += [num, den, repr(fval)]
         lines.append(",".join(row))
-        _write_text(args.out, "\n".join(lines) + "\n")
+        _write(args.out, ["\n".join(lines) + "\n"])
     else:
         if isinstance(val, Fraction):
             text = f"{val.numerator}/{val.denominator}, {fval!r}\n"
         else:
             text = f"{fval!r} (asymptotic/numeric)\n"
-        _write_text(args.out, text)
+        _write(args.out, [text])
     return 0
 
 
@@ -130,7 +133,7 @@ def cmd_verify(args) -> int:
     passed = sum(r.passed for r in reports)
     total = len(reports)
     summary = f"PASS {passed}/{total}" if passed == total else f"FAIL {total - passed}/{total}"
-    _write_text(args.out, "\n".join(lines + [summary]) + "\n")
+    _write(args.out, ["\n".join(lines + [summary]) + "\n"])
     return 0 if passed == total else 1
 
 
@@ -170,18 +173,18 @@ def _svg_histogram(edges: np.ndarray, counts: np.ndarray, title: str) -> str:
 def cmd_hist(args) -> int:
     if args.bins < 2:
         raise ValueError("need at least 2 bins")
-    _, values = _simulate(args)
+    values = np.concatenate(list(_simulate(args)[1]), axis=0)
     counts, edges = np.histogram(values, bins=args.bins,
                                  range=(float(values.min()), float(values.max())))
     if args.format == "svg":
         title = f"{args.statistic} n={args.n} reps={args.reps} seed={args.seed}"
-        _write_text(args.out, _svg_histogram(edges, counts, title))
+        _write(args.out, [_svg_histogram(edges, counts, title)])
         return 0
     lines = _metadata_lines(args, ("seed", "n", "reps", "statistic", "bins"))
     lines.append("bin_lo,bin_hi,count")
     for i, c in enumerate(counts):
         lines.append(f"{float(edges[i])!r},{float(edges[i + 1])!r},{int(c)}")
-    _write_text(args.out, "\n".join(lines) + "\n")
+    _write(args.out, ["\n".join(lines) + "\n"])
     return 0
 
 

@@ -257,7 +257,7 @@ def _run(exact: list[batch.Task], criteria, seed: int, threads: int):
     """The exact checks' reports, then each criterion's; and its sample by stream id."""
     plans = [batch.plan(c.statistic, c.n, c.reps, seed, stream_id=c.stream_id, **c.keywords)
              for c in criteria]  # the one pool balances the criteria: no chunk is narrowed
-    results = iter(batch.run(exact + [task for tasks in plans for task in tasks], threads))
+    results = batch.run(exact + [task for tasks in plans for task in tasks], threads)
     reports, samples = [next(results) for _ in exact], {}
     for c, tasks in zip(criteria, plans):
         samples[c.stream_id] = sample = np.concatenate([next(results) for _ in tasks], axis=0)
@@ -269,8 +269,8 @@ def run_suite(name: str, seed: int = DEFAULT_SEED, threads: int = 1):
     """A suite's reports in their fixed order, and each criterion's sample by stream id.
 
     The exact checks (first: each takes about as long as the largest chunk)
-    and every chunk of every criterion share one batch.run call, then the
-    criteria reduce here in table order, whichever task ended first.
+    and every chunk of every criterion share one batch.run call; each criterion
+    reduces here, in table order, once its chunks are in, while later ones run.
     """
     if name not in ("exact", "statistical", "all"):
         raise ValueError(f"unknown suite {name!r}")
@@ -278,7 +278,7 @@ def run_suite(name: str, seed: int = DEFAULT_SEED, threads: int = 1):
     exact = (check_reversibility, check_chain_moments, check_hypergeometric,
              check_permutation_representation, check_box_scheme, check_variance_identity,
              check_martingale_identity, check_tau_tail) if name != "statistical" else ()
-    return _run([batch.Task(math.inf, check, (seed,)) for check in exact],
+    return _run([batch.Task(check, (seed,)) for check in exact],
                 CRITERIA if name != "exact" else (), seed, threads)
 
 

@@ -6,6 +6,7 @@ import math
 import os
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -408,6 +409,56 @@ def test_pool_size_is_capped_by_chunks_and_cpus(monkeypatch):
     assert pools == expected
 
 
+def wait_for(path, timeout):
+    """True once path exists, False after timeout seconds without it."""
+    end = time.monotonic() + timeout
+    while not os.path.exists(path):
+        if time.monotonic() >= end:
+            return False
+        time.sleep(0.005)
+    return True
+
+
+def start_and_wait_for(started, path):
+    open(started, "w").close()
+    return wait_for(path, 60)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_run_hands_on_each_result_while_later_tasks_run(monkeypatch, tmp_path, threads):
+    # Task 1 ends only once the caller holds task 0's result.  With two
+    # workers task 0 ends only once task 1 has started, so that result is
+    # handed on while task 1 runs; with one, task 1 starts when asked for.
+    monkeypatch.setattr(batch, "_usable_cpus", lambda: 2)
+    started, go = str(tmp_path / "started"), str(tmp_path / "go")
+    results = batch.run([batch.Task(wait_for, (started, 60 if threads == 2 else 0)),
+                         batch.Task(start_and_wait_for, (started, go))], threads)
+    assert next(results) == (threads == 2)
+    assert os.path.exists(started) == (threads == 2)
+    open(go, "w").close()
+    assert next(results)
+    assert next(results, None) is None
+
+
+def start_and_sleep(started):
+    open(started, "w").close()
+    time.sleep(0.05)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_run_closed_early_starts_no_more_tasks(monkeypatch, tmp_path, threads):
+    # closing the results cancels the tasks no worker has taken and waits for the
+    # rest: none starts after close returns (a pool queues a few ahead of its workers)
+    monkeypatch.setattr(batch, "_usable_cpus", lambda: 2)
+    results = batch.run([batch.Task(start_and_sleep, (str(tmp_path / str(i)),))
+                         for i in range(40)], threads)
+    next(results)
+    results.close()
+    started = len(os.listdir(tmp_path))
+    time.sleep(0.2)
+    assert len(os.listdir(tmp_path)) == started < 40
+
+
 def test_worker_exception_reaches_caller(monkeypatch):
     def broken(*args):
         raise RuntimeError("urn step failed")
@@ -518,6 +569,30 @@ def test_times_transform_one_column_views():
     got = batch._times(9, w[:, 7:8], 7, w[:, 0].copy())
     assert got.tobytes() == expect.tobytes()
     assert (got > w[:, 0:1]).all()
+
+
+@pytest.mark.parametrize("rows", [1, 7, 1536])
+def test_numpy_sums_and_carries_rows_as_the_engine_assumes(rows):
+    # Byte identity rests on two numpy behaviours, named here so that an
+    # upgrade that breaks one fails by name: a reversed view of a row sums in
+    # the pairwise order of a fresh reversed copy (the L family sums _levels'
+    # row, and slices of it, so), and a cumsum carried from block to block
+    # through its prior, on views of a wider block as in _times, equals one
+    # cumsum of the whole row.
+    rng = np.random.default_rng(SEED)
+    for length in (1, 2, 7, 49, 128, 129, 199, 511, 512, 1536, 9999):
+        a = rng.random((rows, length))
+        fresh = np.concatenate([a[i:i + 64, ::-1].copy().sum(axis=1) for i in range(0, rows, 64)])
+        assert a[:, ::-1].sum(axis=1).tobytes() == fresh.tobytes(), length
+        whole = np.cumsum(a, axis=1)
+        prior = np.zeros(rows)
+        for first in range(0, length, batch.BLOCK):
+            block = a[:, first:first + batch.BLOCK]
+            block[:, 0] += prior
+            np.cumsum(block, axis=1, out=block)
+            prior = block[:, -1].copy()
+        assert a.tobytes() == whole.tobytes(), length
+        del a, whole
 
 
 def test_rho_inverse_cdf_matches_the_searched_cdf():

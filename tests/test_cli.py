@@ -6,11 +6,12 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from kingman import cli, moments
+from kingman import __version__, batch, cli, moments
 
 
 def run_cli(args):
@@ -41,6 +42,48 @@ def test_simulate_deterministic_across_threads(tmp_path):
     assert run_cli(base + ["--threads", "1", "--out", str(a)]) == 0
     assert run_cli(base + ["--threads", "8", "--out", str(b)]) == 0
     assert read(a) == read(b)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_simulate_writes_the_chunks_in_replicate_order(tmp_path, capsys, threads):
+    # four chunks of unequal sizes, written as they arrive, to a file and to stdout
+    reps = 3 * batch._width(batch.STATISTICS["L_window"], 40) + 7
+    values = batch.simulate("L_window", 40, reps, 9, alpha=0.25, beta=0.75)
+    expect = "".join([f"# kingman version={__version__} seed=9 n=40 reps={reps} "
+                      "statistic=L_window\n# alpha=0.25\n# beta=0.75\nrep,n,statistic,value\n"]
+                     + [f"{r},40,L_window,{float(v)!r}\n" for r, v in enumerate(values)])
+    out = tmp_path / "w.csv"
+    argv = ["simulate", "--statistic", "L_window", "--n", "40", "--reps", str(reps), "--seed",
+            "9", "--alpha", "0.25", "--beta", "0.75", "--threads", str(threads)]
+    assert run_cli(argv + ["--out", str(out)]) == 0
+    assert read(out) == expect
+    capsys.readouterr()
+    assert run_cli(argv) == 0
+    assert capsys.readouterr().out == expect
+
+
+def test_simulate_holds_no_line_per_replicate(tmp_path):
+    # each chunk's lines are written as the chunk arrives, so the traced peak
+    # stays below the 8 bytes a replicate's value takes in one array
+    reps = 200_000
+    args = cli.build_parser().parse_args(["simulate", "--statistic", "rho", "--n", "10",
+                                          "--reps", str(reps), "--out", str(tmp_path / "r.csv")])
+    tracemalloc.start()
+    try:
+        assert cli.cmd_simulate(args) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / reps < 8, peak / reps
+
+
+def test_simulate_opens_its_output_before_it_simulates(tmp_path, monkeypatch):
+    def no_chunks(*args):
+        raise AssertionError("a chunk ran")
+
+    monkeypatch.setattr(batch, "_chunk_kernel", no_chunks)
+    assert run_cli(["simulate", "--statistic", "L", "--n", "10", "--reps", "10",
+                    "--out", str(tmp_path / "missing" / "out.csv")]) == 3
 
 
 def test_simulate_rejects_zero_threads():
