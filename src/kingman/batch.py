@@ -42,7 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .indexing import ceil_pow, check_window, floor_pow
+from .indexing import check_interval, floor_pow, window
 from .rng import replicate_key
 
 BLOCK = 512  # draws per replicate taken at once; a multiple of 4, Philox's output block
@@ -224,7 +224,7 @@ class Statistic(NamedTuple):
 
     values: Callable[..., np.ndarray]  # (n, chunk, **keywords) -> a value or row per replicate
     keywords: tuple[str, ...] = ()
-    check: Callable[..., None] = lambda n: None  # check(n, **keywords) raises ValueError
+    check: Callable[..., object] = lambda n: None  # check(n, **keywords) raises ValueError
     two_d: bool = False  # one row of values per replicate, not one value
     rows: Callable[..., int] = lambda n, **keywords: 0  # bytes of a replicate's own rows
 
@@ -298,14 +298,14 @@ def _levels(n: int, chunk: tuple, hat: bool = False) -> np.ndarray:
 def _windows(n: int, chunk: tuple, *windows) -> np.ndarray:
     """Per replicate, a column per window (alpha, beta): the external length on levels
     ceil(n^alpha)..ceil(n^beta)-1, columns n-1-k of _levels' row, summed up the levels."""
+    bounds = [window(n, alpha, beta) for alpha, beta in windows]
     row = _levels(n, chunk)
-    return np.column_stack([row[:, n - min(ceil_pow(n, beta), n):n - max(ceil_pow(n, alpha), 1)]
-                            [:, ::-1].sum(axis=1) for alpha, beta in windows])
+    return np.column_stack([row[:, n - hi:n - lo][:, ::-1].sum(axis=1) for lo, hi in bounds])
 
 
 def _hat_length(n: int, chunk: tuple, alpha: float, beta: float) -> np.ndarray:
     """The increment form's sum over levels m+1..n less its sum over levels M+1..n."""
-    m, big_m = max(floor_pow(n, alpha), 1), floor_pow(n, beta)
+    m, big_m = floor_pow(n, alpha), floor_pow(n, beta)
     row = _levels(n, chunk, hat=True)[:, ::-1]  # column k-2 holds level k's term
     return row[:, m - 1:].sum(axis=1) - row[:, big_m - 1:].sum(axis=1)
 
@@ -386,44 +386,32 @@ def _eta_count(n: int, chunk: tuple, a: float, b: float) -> np.ndarray:
     return ends[1] - ends[0] + (u[1] - u[0])
 
 
-def _check_exponents(n: int, alpha: float, beta: float) -> None:
-    check_window(alpha, beta)
-
-
-def _check_interval(n: int, a: float, b: float) -> None:
-    if not 0 < a < b:
-        raise ValueError("need 0 < a < b")
-
-
 def _check_steps(n: int, steps) -> None:
     s = np.asarray(steps)
     if s.ndim != 1 or s.size == 0 or s.dtype.kind not in "iu" or s.min() < 0 or s.max() > n:
         raise ValueError(f"step indices must be integers in 0..{n}, got {steps!r}")
 
 
-def _check_windows(n: int, window1, window2) -> None:
-    check_window(*window1)
-    check_window(*window2)
-
-
 STATISTICS: dict[str, Statistic] = {
     "L": Statistic(lambda n, chunk: _levels(n, chunk)[:, ::-1].sum(axis=1), rows=_level_rows),
     "L_window": Statistic(lambda n, chunk, alpha, beta: _windows(n, chunk, (alpha, beta))[:, 0],
-                          ("alpha", "beta"), _check_exponents, rows=_level_rows),
-    "L_hat": Statistic(_hat_length, ("alpha", "beta"), _check_exponents, rows=_level_rows),
+                          ("alpha", "beta"), window, rows=_level_rows),
+    "L_hat": Statistic(_hat_length, ("alpha", "beta"), window, rows=_level_rows),
     "tau": Statistic(_tau),
     "rho": Statistic(lambda n, chunk: _rho_inverse_cdf(n, _uniform_rows(*chunk, 1)[:, 0])
                      .astype(float)),
     "R": Statistic(_r),
     "urn_marginal": Statistic(lambda n, chunk, k: _snapshot(n, chunk, [k])[:, 0], ("k",),
                               lambda n, k: _check_steps(n, [k])),
-    "eta_count": Statistic(_eta_count, ("a", "b"), _check_interval),
+    "eta_count": Statistic(_eta_count, ("a", "b"), lambda n, a, b: check_interval(a, b)),
     # its row of values, twice: simulate concatenates the chunks' rows
     "urn_snapshot": Statistic(_snapshot, ("steps",), _check_steps, two_d=True,
                               rows=lambda n, steps: 16 * len(steps)),
     "window_pair": Statistic(lambda n, chunk, window1, window2:
                              _windows(n, chunk, window1, window2),
-                             ("window1", "window2"), _check_windows, two_d=True, rows=_level_rows),
+                             ("window1", "window2"), lambda n, window1, window2:
+                             [window(n, *w) for w in (window1, window2)], two_d=True,
+                             rows=_level_rows),
 }
 
 

@@ -173,18 +173,23 @@ def _svg_histogram(edges: np.ndarray, counts: np.ndarray, title: str) -> str:
 def cmd_hist(args) -> int:
     if args.bins < 2:
         raise ValueError("need at least 2 bins")
-    values = np.concatenate(list(_simulate(args)[1]), axis=0)
-    counts, edges = np.histogram(values, bins=args.bins,
-                                 range=(float(values.min()), float(values.max())))
-    if args.format == "svg":
-        title = f"{args.statistic} n={args.n} reps={args.reps} seed={args.seed}"
-        _write(args.out, [_svg_histogram(edges, counts, title)])
-        return 0
-    lines = _metadata_lines(args, ("seed", "n", "reps", "statistic", "bins"))
-    lines.append("bin_lo,bin_hi,count")
-    for i, c in enumerate(counts):
-        lines.append(f"{float(edges[i])!r},{float(edges[i + 1])!r},{int(c)}")
-    _write(args.out, ["\n".join(lines) + "\n"])
+    chunks = _simulate(args)[1]
+
+    def text():  # drawn once _write has opened the output
+        values = np.concatenate(list(chunks), axis=0)
+        counts, edges = np.histogram(values, bins=args.bins,
+                                     range=(float(values.min()), float(values.max())))
+        if args.format == "svg":
+            title = f"{args.statistic} n={args.n} reps={args.reps} seed={args.seed}"
+            yield _svg_histogram(edges, counts, title)
+            return
+        lines = _metadata_lines(args, ("seed", "n", "reps", "statistic", "bins"))
+        lines.append("bin_lo,bin_hi,count")
+        for i, c in enumerate(counts):
+            lines.append(f"{float(edges[i])!r},{float(edges[i + 1])!r},{int(c)}")
+        yield "\n".join(lines) + "\n"
+
+    _write(args.out, text())
     return 0
 
 

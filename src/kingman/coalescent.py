@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import urn
-from .indexing import ceil_pow, check_window, floor_pow
+from .indexing import check_window, floor_pow, window
 
 HAT_AGREEMENT_RTOL = 1e-12
 
@@ -199,10 +199,8 @@ def window_external_length(times: CoalescentTimes, hist: MergeHistory,
     Integer levels k run from ceil(n**alpha) to ceil(n**beta) - 1, which
     realizes "n**alpha <= k < n**beta" whether or not n**beta is integer.
     """
-    n = _check_same_n(times, hist)
-    check_window(alpha, beta)
-    lo, hi = ceil_pow(n, alpha), ceil_pow(n, beta) - 1
-    return float(sum(times.t[k] * hist.x[k - 1] for k in range(max(lo, 1), min(hi, n - 1) + 1)))
+    lo, hi = window(_check_same_n(times, hist), alpha, beta)
+    return float(sum(times.t[k] * hist.x[k - 1] for k in range(lo, hi)))
 
 
 def hat_external_length(times: CoalescentTimes, hist: MergeHistory,
@@ -217,7 +215,6 @@ def hat_external_length(times: CoalescentTimes, hist: MergeHistory,
     n = _check_same_n(times, hist)
     check_window(alpha, beta)
     m, big_m = floor_pow(n, alpha), floor_pow(n, beta)
-    m = max(m, 1)
 
     def increment_tail(lo: int) -> float:
         total = 0.0

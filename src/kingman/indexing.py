@@ -1,9 +1,10 @@
-"""Integer level boundaries derived from fractional powers of n.
+"""Integer level boundaries derived from fractional powers of n, and the
+checks of the windows and intervals the functionals are taken on.
 
 Window quantities use ceilings of n**alpha, truncated quantities use
-floors.  Powers like 10000**0.25 land a hair away from an exact integer
-in binary floating point, so values are snapped to the nearest integer
-before rounding.
+floors.  Powers like 64**(1/3) = 3.9999999999999996 land a hair away from
+an exact integer in binary floating point, so values are snapped to the
+nearest integer before rounding.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ _SNAP = 1e-9
 
 
 def _snapped_pow(n: int, alpha: float) -> float:
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"a level exponent must lie in [0, 1], got {alpha}")
     t = float(n) ** alpha
     r = round(t)
     if abs(t - r) < _SNAP * max(1.0, abs(t)):
@@ -34,3 +37,14 @@ def floor_pow(n: int, alpha: float) -> int:
 def check_window(alpha: float, beta: float) -> None:
     if not (0.0 <= alpha < beta <= 1.0):
         raise ValueError(f"window exponents must satisfy 0 <= alpha < beta <= 1, got ({alpha}, {beta})")
+
+
+def window(n: int, alpha: float, beta: float) -> tuple[int, int]:
+    """(lo, hi): the levels n**alpha <= k < n**beta are lo..hi-1, 1 <= lo <= hi <= n."""
+    check_window(alpha, beta)
+    return ceil_pow(n, alpha), ceil_pow(n, beta)
+
+
+def check_interval(a: float, b: float) -> None:
+    if not 0 < a < b:
+        raise ValueError(f"need 0 < a < b, got ({a}, {b})")

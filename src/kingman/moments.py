@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .indexing import ceil_pow, check_window
+from .indexing import check_interval, check_window, window
 
 _harmonic_cache: list[Fraction] = [Fraction(0)]
 
@@ -97,8 +97,7 @@ def var_T(n: int, k: int) -> Fraction:
 
 def e_L_window(n: int, alpha: float, beta: float) -> Fraction:
     """Exact window mean 2/(n(n-1)) (cb - ca)(2n+1 - cb - ca), ceilings."""
-    check_window(alpha, beta)
-    ca, cb = ceil_pow(n, alpha), ceil_pow(n, beta)
+    ca, cb = window(n, alpha, beta)
     return Fraction(2 * (cb - ca) * (2 * n + 1 - cb - ca), n * (n - 1))
 
 
@@ -106,13 +105,6 @@ def var_L_window_asymptotic(n: int, alpha: float, beta: float) -> float:
     """Asymptotic window variance 8(beta-alpha) ln(n)/n (not exact)."""
     check_window(alpha, beta)
     return 8.0 * (beta - alpha) * math.log(n) / n
-
-
-def _window_levels(n: int, window: tuple[float, float]) -> np.ndarray:
-    """Levels k with ceil(n**alpha) <= k < ceil(n**beta)."""
-    alpha, beta = window
-    check_window(alpha, beta)
-    return np.arange(ceil_pow(n, alpha), ceil_pow(n, beta))
 
 
 def cov_L_windows(n: int, w1: tuple[float, float], w2: tuple[float, float]) -> float:
@@ -125,7 +117,7 @@ def cov_L_windows(n: int, w1: tuple[float, float], w2: tuple[float, float]) -> f
     """
     if n < 3:
         raise ValueError("undefined for n < 3")
-    ks, ls = _window_levels(n, w1), _window_levels(n, w2)
+    ks, ls = np.arange(*window(n, *w1)), np.arange(*window(n, *w2))
     # Var(T_k) = 4 sum_{j=k+1..n} 1/((j-1)^2 j^2), summed from the small end
     j = np.arange(n, 1, -1, dtype=float)
     var_t = np.zeros(n + 1)
@@ -208,8 +200,7 @@ def e_eta_count(n: int, a: float, b: float = math.inf) -> float:
     """
     if n < 2:
         raise ValueError("sample size must be at least 2")
-    if not 0 < a < b:
-        raise ValueError("need 0 < a < b")
+    check_interval(a, b)
     root = math.sqrt(n)
     return (_block_count_factorial_moment(n, a / root)
             - _block_count_factorial_moment(n, b / root)) / (n - 1)
@@ -219,8 +210,7 @@ def e_eta_count(n: int, a: float, b: float = math.inf) -> float:
 
 def poisson_mean(a: float, b: float = math.inf) -> float:
     """Limit mean count of scaled lengths in [a, b): 4(a^-2 - b^-2)."""
-    if not 0 < a < b:
-        raise ValueError("need 0 < a < b")
+    check_interval(a, b)
     tail = 0.0 if math.isinf(b) else b ** -2
     return 4.0 * (a ** -2 - tail)
 

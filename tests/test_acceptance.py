@@ -15,6 +15,7 @@ import concurrent.futures
 import hashlib
 import math
 import os
+from fractions import Fraction
 
 import pytest
 
@@ -188,9 +189,29 @@ def test_criterion_13_vanishing_window_bound(reports, samples):
           report)
 
 
-def test_criterion_14_tau_limit(reports):
-    check(14, "tau/sqrt(n) vs 1 - exp(-t^2), KS distance <= 0.03",
-          reports["tau_limit_ks"])
+def tau_law(n):
+    """P(tau = k) from urn.tau_exact_tail's product (n-k)...(n-2k+1) / ((n-1)...(n-k)),
+    in floats by lgamma, so that n = 10^4 takes no big integers."""
+    def tail(k):
+        if 2 * k > n:  # the product reaches the factor 0
+            return 0.0
+        return math.exp(math.lgamma(n - k + 1) - math.lgamma(n - 2 * k + 1)
+                        - math.lgamma(n) + math.lgamma(n - k))
+    return {k: tail(k) - tail(k + 1) for k in range(1, n // 2 + 1)}
+
+
+def test_criterion_14_tau_limit(reports, samples):
+    gate = reports["tau_limit_ks"]
+    check(14, "tau/sqrt(n) vs 1 - exp(-t^2), KS distance <= 0.03", gate)
+    for n in (10, 57, 200):
+        law, exact = tau_law(n), urn.tau_exact_law(n)
+        assert set(exact) <= law.keys()
+        assert max(abs(p - float(exact[k])) for k, p in law.items()) < 1e-12, n
+    # a KS test against the exact discrete cdf would read the ties as misfit: chi-square
+    n = gate.params["n"]
+    check(14, f"tau vs its exact finite-n law, chi-square p >= 0.001, n={n}",
+          stats.chi_square_gof(samples[verify._S_TAU], tau_law(n), name="tau_exact_chi2",
+                               seed=gate.seed, params={"n": n}))
 
 
 def test_criterion_15_single_branch_limit(reports, samples):
@@ -210,9 +231,23 @@ def test_criterion_15_single_branch_limit(reports, samples):
                         name="single_branch_exact_ks", seed=gate.seed, params={"n": n}))
 
 
-def test_criterion_16_gp_covariance(reports):
-    check(16, "centered chain covariance vs s^2 (1-t)^2 on the grid",
-          reports["gp_covariance"])
+def test_criterion_16_gp_covariance(reports, samples):
+    gate = reports["gp_covariance"]
+    check(16, "centered chain covariance vs s^2 (1-t)^2 on the grid", gate)
+    # E(w_s w_t) exactly, w_t = (U_k - c_k)/sqrt(n) with k = floor(nt) and c_k = n t(1-t):
+    # (Cov(U_k, U_l) + (E U_k - c_k)(E U_l - c_l)) / n, with no slack for the limit
+    n, grid = gate.params["n"], gate.params["grid"]
+    ts = sorted({t for pair in grid for t in pair})
+    c = [n * Fraction(t) * (1 - Fraction(t)) for t in ts]
+    w = (samples[verify._S_GP] - [float(x) for x in c]) / math.sqrt(n)
+    for s, t in grid:
+        i, j = ts.index(s), ts.index(t)
+        k, l = math.floor(n * s), math.floor(n * t)
+        exact = (moments.cov_U(n, k, l)
+                 + (moments.e_U(n, k) - c[i]) * (moments.e_U(n, l) - c[j])) / n
+        check(16, f"E(w_{s} w_{t}) within 4 SE of exact {float(exact):.6g}, n={n}",
+              stats.mean_test(w[:, i] * w[:, j], exact, name="gp_mean_product_exact",
+                              seed=gate.seed, params={"n": n, "s": s, "t": t}))
 
 
 def test_criterion_17_window_independence(reports):

@@ -82,8 +82,9 @@ def test_simulate_opens_its_output_before_it_simulates(tmp_path, monkeypatch):
         raise AssertionError("a chunk ran")
 
     monkeypatch.setattr(batch, "_chunk_kernel", no_chunks)
-    assert run_cli(["simulate", "--statistic", "L", "--n", "10", "--reps", "10",
-                    "--out", str(tmp_path / "missing" / "out.csv")]) == 3
+    for command in ("simulate", "hist"):
+        assert run_cli([command, "--statistic", "L", "--n", "10", "--reps", "10",
+                        "--out", str(tmp_path / "missing" / "out.csv")]) == 3, command
 
 
 def test_simulate_rejects_zero_threads():
@@ -151,7 +152,7 @@ def test_moments_hat_via_alpha(capsys):
         assert lines[3].split(",")[6:8] == [str(value.numerator), str(value.denominator)]
 
 
-def test_moments_usage_errors():
+def test_moments_usage_errors(capsys):
     assert run_cli(["moments", "--quantity", "e_T", "--n", "10"]) == 2
     assert run_cli(["moments", "--quantity", "nonsense", "--n", "10"]) == 2
     assert run_cli(["moments", "--quantity", "e_hat", "--n", "10"]) == 2
@@ -159,6 +160,11 @@ def test_moments_usage_errors():
     for quantity in ("e_hat", "var_hat"):  # m from one of the two, never both
         assert run_cli(["moments", "--quantity", quantity, "--n", "50", "--m", "3",
                         "--alpha", "0.5"]) == 2
+    capsys.readouterr()
+    for alpha in ("1000", "inf", "nan", "-1"):  # m = floor(n^alpha) needs alpha in [0, 1]
+        assert run_cli(["moments", "--quantity", "e_hat", "--n", "50", "--alpha", alpha]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "exponent" in err and str(float(alpha)) in err, err
 
 
 def test_moments_refuse_options_their_quantity_does_not_take(capsys):

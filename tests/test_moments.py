@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from kingman import batch, moments, urn
-from kingman.indexing import ceil_pow
+from kingman.indexing import window
 
 
 def test_harmonic_values():
@@ -105,9 +105,7 @@ def test_full_window_is_total_length():
 
 def test_window_mean_direct_sum():
     n, alpha, beta = 100, 0.25, 0.75
-    from kingman.indexing import ceil_pow
-    lo, hi = ceil_pow(n, alpha), ceil_pow(n, beta) - 1
-    direct = sum(moments.e_T(n, k) * moments.e_X(n, k) for k in range(lo, hi + 1))
+    direct = sum(moments.e_T(n, k) * moments.e_X(n, k) for k in range(*window(n, alpha, beta)))
     assert moments.e_L_window(n, alpha, beta) == direct
 
 
@@ -124,16 +122,11 @@ def test_window_variance_asymptotic_order():
     assert gap(5000) < gap(500)
 
 
-def _window_levels(n, window):
-    alpha, beta = window
-    return range(ceil_pow(n, alpha), ceil_pow(n, beta))
-
-
 def _window_cov_reference(n, w1, w2, e_xx):
     """Exact Cov(L_w1, L_w2) from E(X_k X_l) and the time moments."""
     total = Fraction(0)
-    for k in _window_levels(n, w1):
-        for l in _window_levels(n, w2):
+    for k in range(*window(n, *w1)):
+        for l in range(*window(n, *w2)):
             c_x = e_xx(k, l) - moments.e_X(n, k) * moments.e_X(n, l)
             total += moments.var_T(n, max(k, l)) * e_xx(k, l)
             total += moments.e_T(n, k) * moments.e_T(n, l) * c_x
