@@ -108,7 +108,6 @@ def _uniform_rows(seed: int, stream_id: int, start: int, count: int, draws: int,
     skipping offset % 4 words: the same words.
     """
     rows = np.arange(count) if order is None else order
-    replicate_key(seed, start + count - 1, stream_id)  # the key range of every row
     if offset + draws <= 4 and lengths is None:  # past one block, a Philox per row is faster
         heads = _philox_heads(seed, stream_id, start, rows)[:, offset:offset + draws]
         return (heads >> 11) * 2.0 ** -53
@@ -471,9 +470,13 @@ def plan(statistic: str, n: int, reps: int, seed: int, *,
 
 def run(tasks: list[Task], threads: int = 1) -> Iterator:
     """Each task's result, in task order, once it and those before it have ended: from one
-    pool of min(threads, tasks, usable CPUs) forked processes, or with one worker, here."""
+    pool of min(threads, tasks, usable CPUs) forked processes, or with one worker, here.
+    threads is checked here; no task starts before the first result is asked for."""
     _check_count("threads", threads, 1)
-    workers = min(threads, len(tasks), _usable_cpus())
+    return _results(tasks, min(threads, len(tasks), _usable_cpus()))
+
+
+def _results(tasks: list[Task], workers: int) -> Iterator:
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # here, not when kingman is imported
         from multiprocessing import get_all_start_methods, get_context

@@ -65,24 +65,23 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-# the options each quantity takes: e_hat and var_hat take one of --m and --alpha
-_QUANTITIES = {
-    "e_U": ("k",), "cov_U": ("k", "l"), "e_X": ("k",), "var_X": ("k",),
-    "cov_X": ("k", "l"), "e_T": ("k",), "var_T": ("k",), "fu_li_var": (),
-    "rho_cdf": ("k",), "e_L_window": ("alpha", "beta"),
-    "var_L_window_asymptotic": ("alpha", "beta"), "var_L_window_exact": ("alpha", "beta"),
-    "e_hat": ("m", "alpha"), "var_hat": ("m", "alpha"),
-}
+# the moments functions kingman moments evaluates; each takes the options its signature names
+_QUANTITIES = ("e_U", "cov_U", "e_X", "var_X", "cov_X", "e_T", "var_T", "fu_li_var", "rho_cdf",
+               "e_L_window", "var_L_window_asymptotic", "var_L_window_exact", "e_hat", "var_hat")
 
 
 def _evaluate_quantity(args) -> tuple[object, dict]:
     """The quantity's value, and the keywords it took that the CSV row has no column for;
     an option the quantity does not take is refused, so the row holds only its own."""
+    import inspect
+
     from . import moments
     q = args.quantity
-    takes = _QUANTITIES.get(q)
-    if takes is None:
+    if q not in _QUANTITIES:
         raise ValueError(f"unknown quantity {q!r}")
+    takes = tuple(inspect.signature(getattr(moments, q)).parameters)[1:]  # after n
+    if "m" in takes:  # e_hat and var_hat: m, or floor(n^alpha) for --alpha
+        takes += ("alpha",)
     extra = [f"--{f}" for f in ("k", "l", "m", "alpha", "beta")
              if f not in takes and getattr(args, f) is not None]
     if extra:
@@ -128,13 +127,18 @@ def cmd_moments(args) -> int:
 
 def cmd_verify(args) -> int:
     from . import verify
-    reports, _ = verify.run_suite(args.suite, seed=args.seed, threads=args.threads)
-    lines = [r.to_json() for r in reports]
-    passed = sum(r.passed for r in reports)
-    total = len(reports)
-    summary = f"PASS {passed}/{total}" if passed == total else f"FAIL {total - passed}/{total}"
-    _write(args.out, ["\n".join(lines + [summary]) + "\n"])
-    return 0 if passed == total else 1
+    reports = verify.run_suite(args.suite, seed=args.seed, threads=args.threads)[0]
+    passed = []
+
+    def text():  # run once _write has opened the output
+        for r in reports:
+            passed.append(r.passed)
+            yield r.to_json() + "\n"
+        ok, total = sum(passed), len(passed)
+        yield f"PASS {ok}/{total}\n" if ok == total else f"FAIL {total - ok}/{total}\n"
+
+    _write(args.out, text())
+    return 0 if all(passed) else 1
 
 
 def _svg_histogram(edges: np.ndarray, counts: np.ndarray, title: str) -> str:

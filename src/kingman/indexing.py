@@ -17,6 +17,8 @@ _SNAP = 1e-9
 def _snapped_pow(n: int, alpha: float) -> float:
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"a level exponent must lie in [0, 1], got {alpha}")
+    if n < 1:
+        raise ValueError(f"a level boundary needs n >= 1, got {n}")
     t = float(n) ** alpha
     r = round(t)
     if abs(t - r) < _SNAP * max(1.0, abs(t)):

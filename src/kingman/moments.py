@@ -97,12 +97,16 @@ def var_T(n: int, k: int) -> Fraction:
 
 def e_L_window(n: int, alpha: float, beta: float) -> Fraction:
     """Exact window mean 2/(n(n-1)) (cb - ca)(2n+1 - cb - ca), ceilings."""
+    if n < 2:
+        raise ValueError("sample size must be at least 2")
     ca, cb = window(n, alpha, beta)
     return Fraction(2 * (cb - ca) * (2 * n + 1 - cb - ca), n * (n - 1))
 
 
 def var_L_window_asymptotic(n: int, alpha: float, beta: float) -> float:
     """Asymptotic window variance 8(beta-alpha) ln(n)/n (not exact)."""
+    if n < 2:
+        raise ValueError("sample size must be at least 2")
     check_window(alpha, beta)
     return 8.0 * (beta - alpha) * math.log(n) / n
 
@@ -169,6 +173,8 @@ def var_hat(n: int, m: int) -> Fraction:
 
 def rho_cdf(n: int, k: int) -> Fraction:
     """P(rho < k) = k(k-1)/(n(n-1)): law of a random leaf's merge level."""
+    if n < 2:
+        raise ValueError("sample size must be at least 2")
     if not 1 <= k <= n:
         raise ValueError(f"level k={k} outside 1..n")
     return Fraction(k * (k - 1), n * (n - 1))

@@ -169,13 +169,11 @@ def _point_counts(seed: int, n: int, eta: np.ndarray, a: float, b: float):
 
 
 def _vanishing_window(stream_id: int, n: int, beta: float, reps: int) -> Criterion:
-    """P(short-window length > 0) against its exact finite-n bound.
+    """P(short-window length > 0) against its exact finite-n bound, for 0 < beta < 1/2.
 
     The event {window length > 0} equals {V_m < m} with m = ceil(n**beta);
     the bound is m(m-1)/(n-1), tested with a four-standard-error allowance.
     """
-    if not 0 < beta < 0.5:
-        raise ValueError("need 0 < beta < 1/2")
     m = ceil_pow(n, beta)
     bound = float(Fraction(m * (m - 1), n - 1))
 
@@ -191,19 +189,14 @@ def _vanishing_window(stream_id: int, n: int, beta: float, reps: int) -> Criteri
 
 def _gp_covariance(stream_id: int, n: int, grid: list[tuple[float, float]],
                    reps: int) -> Criterion:
-    """Covariance of the centered, scaled chain against s^2 (1-t)^2.
+    """Covariance of the centered, scaled chain against s^2 (1-t)^2, for n >= 500 (a
+    shorter chain is too far from the limit) and a nonempty grid of points in (0, 1).
 
     Simulates W(t) = (U_(floor(nt)) - n t(1-t)) / sqrt(n) and requires every
     grid covariance within 0.01 + 4 MC standard errors of the limit, and
     every grid mean within 4 standard errors of 0.
     """
-    if not grid:
-        raise ValueError("grid must be nonempty")
-    if n < 500:
-        raise ValueError("chain too short for the limit comparison (need n >= 500)")
     ts = sorted({v for st in grid for v in st})
-    if any(not 0 < t < 1 for t in ts):
-        raise ValueError("grid points must lie strictly inside (0, 1)")
 
     def reduce(seed, n, snap, steps):
         w = (snap - np.array([n * t * (1 - t) for t in ts])) / math.sqrt(n)
@@ -254,22 +247,30 @@ CRITERIA: tuple[Criterion, ...] = (
 
 
 def _run(exact: list[batch.Task], criteria, seed: int, threads: int):
-    """The exact checks' reports, then each criterion's; and its sample by stream id."""
+    """The exact checks' reports, then each criterion's, made as they are read; and each
+    criterion's sample by stream id, stored once its chunks are in."""
     plans = [batch.plan(c.statistic, c.n, c.reps, seed, stream_id=c.stream_id, **c.keywords)
              for c in criteria]  # the one pool balances the criteria: no chunk is narrowed
     results = batch.run(exact + [task for tasks in plans for task in tasks], threads)
-    reports, samples = [next(results) for _ in exact], {}
-    for c, tasks in zip(criteria, plans):
-        samples[c.stream_id] = sample = np.concatenate([next(results) for _ in tasks], axis=0)
-        reports += c.reduce(seed, c.n, sample, **c.keywords)
-    return reports, samples
+    samples = {}
+
+    def reports():
+        for _ in exact:
+            yield next(results)
+        for c, tasks in zip(criteria, plans):
+            samples[c.stream_id] = sample = np.concatenate([next(results) for _ in tasks], axis=0)
+            yield from c.reduce(seed, c.n, sample, **c.keywords)
+
+    return reports(), samples
 
 
 def run_suite(name: str, seed: int = DEFAULT_SEED, threads: int = 1):
-    """A suite's reports in their fixed order, and each criterion's sample by stream id.
+    """A suite's reports in their fixed order, made as they are read, and each criterion's
+    sample by stream id, stored as its reports are made.
 
-    The exact checks (first: each takes about as long as the largest chunk)
-    and every chunk of every criterion share one batch.run call; each criterion
+    Every argument is checked before this returns, and nothing runs before the first
+    report is read.  The exact checks (first: each takes about as long as the largest
+    chunk) and every chunk of every criterion share one batch.run call; each criterion
     reduces here, in table order, once its chunks are in, while later ones run.
     """
     if name not in ("exact", "statistical", "all"):

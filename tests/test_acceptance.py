@@ -46,7 +46,8 @@ def suite():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
         reports, samples = verify.run_suite("all", SEED, threads=2)
-    return {r.name: r for r in reports}, samples, pools
+        reports = {r.name: r for r in reports}  # the suite runs as its reports are read
+    return reports, samples, pools
 
 
 @pytest.fixture(scope="module")
@@ -296,7 +297,7 @@ def test_worker_exceptions_reach_the_caller(monkeypatch):
     # the forked workers inherit the patches; nothing broken is pickled
     monkeypatch.setattr(verify.urn, "exact_path_law", broken)  # three exact checks
     with pytest.raises(RuntimeError, match="oracle failed"):
-        verify.run_suite("exact", SEED, threads=2)
+        list(verify.run_suite("exact", SEED, threads=2)[0])
     monkeypatch.setattr(verify.batch, "_urn_paths", broken)  # every chunk but R's
     with pytest.raises(RuntimeError, match="oracle failed"):
-        verify.run_suite("statistical", SEED, threads=2)
+        list(verify.run_suite("statistical", SEED, threads=2)[0])

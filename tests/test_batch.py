@@ -535,8 +535,8 @@ def test_uniform_rows_continue_only_the_chunk_they_left():
 
 def test_uniform_rows_continue_an_ordered_prefix(monkeypatch):
     # R draws its pieces in one order of rows, each piece by the rows that
-    # drew the last one to its end, a prefix: those rows draw on, with one
-    # key lookup for the key range and none to re-key.
+    # drew the last one to its end, a prefix: those rows draw on with no key
+    # lookup, and a re-key looks up one key (plan has checked the key range).
     a, b = (SEED, 2, 0, 6), (SEED, 2, 6, 6)  # two chunks of one stream
     order = np.array([4, 1, 5, 0, 3, 2])
     keys = []
@@ -551,13 +551,13 @@ def test_uniform_rows_continue_an_ordered_prefix(monkeypatch):
         assert got.tobytes() == expect.tobytes(), (chunk, draws, offset)
         assert len(keys) == lookups, (chunk, draws, offset)
 
-    check(a, 9, 0, order, [9, 9, 9, 9, 4, 2], 2)  # a full piece: four rows reach its end
+    check(a, 9, 0, order, [9, 9, 9, 9, 4, 2], 1)  # a full piece: four rows reach its end
     assert batch._STREAMS.held.tolist() == [4, 1, 5, 0]
-    check(a, 7, 9, order[:3], [7, 7, 1], 1)  # a prefix of them, drawn on at the offset
-    check(a, 5, 16, order[1:3], [5, 5], 2)  # not a prefix: re-keyed
-    check(a, 5, 21, order[1:3], [5, 5], 1)
-    check(b, 7, 0, order[:4], [7] * 4, 2)  # another chunk
-    check(a, 4, 26, order[1:2], [4], 2)  # the first chunk again: re-keyed at its offset
+    check(a, 7, 9, order[:3], [7, 7, 1], 0)  # a prefix of them, drawn on at the offset
+    check(a, 5, 16, order[1:3], [5, 5], 1)  # not a prefix: re-keyed
+    check(a, 5, 21, order[1:3], [5, 5], 0)
+    check(b, 7, 0, order[:4], [7] * 4, 1)  # another chunk
+    check(a, 4, 26, order[1:2], [4], 1)  # the first chunk again: re-keyed at its offset
     assert batch._STREAMS.mark == (*a, 30)
 
 
@@ -629,12 +629,6 @@ def test_threads_draw_from_their_own_streams():
     finally:
         sys.setswitchinterval(interval)
     assert got == expect
-
-
-def test_uniform_rows_reject_replicates_past_the_key_range():
-    for draws in (3, 5):  # the vector path and the re-keyed rows
-        with pytest.raises(ValueError):
-            batch._uniform_rows(SEED, 0, 2 ** 48 - 511, 512, draws)
 
 
 def test_r_prefix_matches_whole_rows():
@@ -751,6 +745,7 @@ BAD_INPUTS = [
     (("L", 50.0, 10), {}),
     (("L", 10, 10.5), {}),
     (("rho", 10, True), {}),
+    (("rho", 10, 2 ** 48 + 1), {}),  # replicates past the key range
     (("L", 10, 10), {"threads": True}),
     (("L", 20, 5), {"seed": 2 ** 64}),  # was masked to seed 0
     (("L", 20, 5), {"seed": -1}),  # was masked to seed 2^64 - 1

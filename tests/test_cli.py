@@ -1,5 +1,6 @@
 """Command-line interface: formats, determinism, exit codes."""
 
+import inspect
 import json
 import math
 import os
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from kingman import __version__, batch, cli, moments
+from kingman import __version__, batch, cli, moments, verify
 
 
 def run_cli(args):
@@ -82,9 +83,13 @@ def test_simulate_opens_its_output_before_it_simulates(tmp_path, monkeypatch):
         raise AssertionError("a chunk ran")
 
     monkeypatch.setattr(batch, "_chunk_kernel", no_chunks)
-    for command in ("simulate", "hist"):
-        assert run_cli([command, "--statistic", "L", "--n", "10", "--reps", "10",
-                        "--out", str(tmp_path / "missing" / "out.csv")]) == 3, command
+    for name in vars(verify).copy():  # the exact checks, which verify runs first
+        if name.startswith("check_"):
+            monkeypatch.setattr(verify, name, no_chunks)
+    for argv in (["simulate", "--statistic", "L", "--n", "10", "--reps", "10"],
+                 ["hist", "--statistic", "L", "--n", "10", "--reps", "10"],
+                 ["verify", "--suite", "all"]):
+        assert run_cli(argv + ["--out", str(tmp_path / "missing" / "out.csv")]) == 3, argv
 
 
 def test_simulate_rejects_zero_threads():
@@ -181,6 +186,37 @@ def test_moments_refuse_options_their_quantity_does_not_take(capsys):
             assert captured.out == "" and message in captured.err, (fmt, argv)
 
 
+def test_quantities_are_moments_functions_of_n_and_parsed_options():
+    # a quantity whose function takes an option kingman moments never parses fails here
+    parser = cli.build_parser()
+    for quantity in cli._QUANTITIES:
+        function = getattr(moments, quantity, None)
+        assert inspect.isfunction(function), quantity
+        names = list(inspect.signature(function).parameters)
+        assert names[0] == "n" and set(names[1:]) <= {"k", "l", "m", "alpha", "beta"}, names
+        for name in names[1:]:
+            args = parser.parse_args(["moments", "--quantity", quantity, "--n", "5",
+                                      f"--{name}", "1"])
+            assert getattr(args, name) == 1, (quantity, name)
+
+
+OPTION_VALUES = {"k": "1", "l": "2", "m": "1", "alpha": "0.5", "beta": "0.75"}
+
+
+def test_moments_refuse_every_n_outside_their_domain(capsys):
+    # a negative n to a fractional power was complex, and n = 0 or 1 divided by
+    # zero: each ended in a traceback
+    for quantity in cli._QUANTITIES:
+        takes = list(inspect.signature(getattr(moments, quantity)).parameters)[1:]
+        for chosen in ([["m"], ["alpha"]] if "m" in takes else [takes]):
+            options = [arg for name in chosen for arg in (f"--{name}", OPTION_VALUES[name])]
+            for n in (-5, 0, 1):
+                argv = ["moments", "--quantity", quantity, "--n", str(n)] + options
+                code, err = run_cli(argv), capsys.readouterr().err
+                assert code == 0 or (code == 2 and err.startswith("error: ")
+                                     and err.count("\n") == 1), (argv, code, err)
+
+
 def test_verify_exact_suite(tmp_path):
     out = tmp_path / "verify.txt"
     assert run_cli(["verify", "--suite", "exact", "--seed", "7",
@@ -192,15 +228,20 @@ def test_verify_exact_suite(tmp_path):
         assert obj["pass"] is True and obj["seed"] == 7
 
 
-def test_verify_rejects_zero_threads(monkeypatch, capsys):
-    # refused before any check runs, although the exact suite never simulates
+def test_verify_rejects_zero_threads(monkeypatch, capsys, tmp_path):
+    # refused before any check runs, although the exact suite never simulates,
+    # and before the output is opened
+    out = ["--out", str(tmp_path / "r.jsonl")]
     assert run_cli(["verify", "--suite", "exact", "--threads", "0"]) == 2
+    assert run_cli(["verify", "--threads", "0"] + out) == 2
     monkeypatch.setenv("KINGMAN_THREADS", "0")
     assert run_cli(["verify", "--suite", "exact"]) == 2
     monkeypatch.delenv("KINGMAN_THREADS")
     for seed in ("-1", str(2 ** 64)):  # and so is a seed outside 0..2^64-1
         assert run_cli(["verify", "--suite", "exact", "--seed", seed]) == 2
+        assert run_cli(["verify", "--seed", seed] + out) == 2
     assert capsys.readouterr().out == ""
+    assert not (tmp_path / "r.jsonl").exists()
 
 
 def test_hist_csv(tmp_path):

@@ -119,11 +119,6 @@ def test_gp_check_passes_at_scale():
     assert rep.passed
 
 
-def test_theorem_bound_check_input_validation():
-    with pytest.raises(ValueError):
-        verify._vanishing_window(0, 1000, 0.7, 1000)
-
-
 def test_normal_cdf():
     assert stats.normal_cdf(0.0) == 0.5
     assert stats.normal_cdf(1.96) == pytest.approx(0.975, abs=1e-3)
