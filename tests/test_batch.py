@@ -631,6 +631,17 @@ def test_threads_draw_from_their_own_streams():
     assert got == expect
 
 
+def test_uniform_rows_reject_replicates_past_the_key_range(monkeypatch):
+    # _uniform_rows trusts its rows to lie in the key range: plan refuses
+    # replicates past it, on every stream, before any row is drawn.
+    monkeypatch.setattr(batch, "_uniform_rows", _no_draws)
+    for stream_id in (0, 5):
+        replicate_key(SEED, 2 ** 48 - 1, stream_id)  # the last replicate has a key
+        for statistic in ("rho", "L"):
+            with pytest.raises(ValueError, match="replicate index out of range"):
+                batch.plan(statistic, 10, 2 ** 48 + 1, SEED, stream_id=stream_id)
+
+
 def test_r_prefix_matches_whole_rows():
     # R draws and transforms only the n - rho time uniforms it reads; the
     # whole-row formula gives the same bits.  2000 replicates span two chunks.
