@@ -432,7 +432,8 @@ def _check_count(name: str, value, least: int, most: float = math.inf) -> None:
         raise ValueError(f"{name} must be an integer in [{least}, {most}], got {value!r}")
 
 
-def check_seed(seed) -> None:  # plan's check, for callers that plan nothing
+def check_run(seed, threads) -> None:  # plan's checks of both, for callers that plan nothing
+    _check_count("threads", threads, 1)
     _check_count("seed", seed, 0, 2 ** 64 - 1)
 
 
@@ -447,10 +448,9 @@ def plan(statistic: str, n: int, reps: int, seed: int, *,
          threads: int = 1, stream_id: int = 0, **params) -> list[Task]:
     """The chunk tasks of simulate(...), after every check of its arguments; their count
     is a multiple of the min(threads, chunks, usable CPUs) workers, or reps."""
-    _check_count("threads", threads, 1)
     _check_count("sample size n", n, 2)
     _check_count("reps", reps, 1)
-    check_seed(seed)
+    check_run(seed, threads)
     spec = STATISTICS.get(statistic)
     if spec is None:
         raise ValueError(f"unknown statistic {statistic!r}")
@@ -471,12 +471,8 @@ def plan(statistic: str, n: int, reps: int, seed: int, *,
 def run(tasks: list[Task], threads: int = 1) -> Iterator:
     """Each task's result, in task order, once it and those before it have ended: from one
     pool of min(threads, tasks, usable CPUs) forked processes, or with one worker, here.
-    threads is checked here; no task starts before the first result is asked for."""
-    _check_count("threads", threads, 1)
-    return _results(tasks, min(threads, len(tasks), _usable_cpus()))
-
-
-def _results(tasks: list[Task], workers: int) -> Iterator:
+    plan or verify.run_suite checks threads; no task starts before a result is asked for."""
+    workers = min(threads, len(tasks), _usable_cpus())
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # here, not when kingman is imported
         from multiprocessing import get_all_start_methods, get_context

@@ -29,9 +29,21 @@ def _required(args, what: str, fields: tuple[str, ...]) -> list:
     return [getattr(args, f) for f in fields]
 
 
+def _refuse_others(args, what: str, takes: tuple[str, ...], offered: tuple[str, ...],
+                   sep: str = ", ") -> None:
+    """Refuse each option of offered that is given but that what does not take."""
+    extra = [f"--{f}" for f in offered if f not in takes and getattr(args, f) is not None]
+    if extra:
+        names = sep.join(f"--{f}" for f in takes) or "no options"
+        raise ValueError(f"{what} takes {names}; it does not take {', '.join(extra)}")
+
+
 def _simulate(args) -> tuple[dict, Iterator[np.ndarray]]:
     """The statistic's keywords, checked, and its chunks' values as each is ready."""
     keywords = batch.STATISTICS[args.statistic].keywords
+    _refuse_others(args, args.statistic, keywords, ("alpha", "beta", "a", "b", "k"))
+    args.alpha = 0.0 if args.alpha is None else args.alpha  # L_window and L_hat: every level
+    args.beta = 1.0 if args.beta is None else args.beta
     params = dict(zip(keywords, _required(args, args.statistic, keywords)))
     tasks = batch.plan(args.statistic, args.n, args.reps, args.seed, threads=args.threads, **params)
     return params, batch.run(tasks, args.threads)
@@ -82,11 +94,8 @@ def _evaluate_quantity(args) -> tuple[object, dict]:
     takes = tuple(inspect.signature(getattr(moments, q)).parameters)[1:]  # after n
     if "m" in takes:  # e_hat and var_hat: m, or floor(n^alpha) for --alpha
         takes += ("alpha",)
-    extra = [f"--{f}" for f in ("k", "l", "m", "alpha", "beta")
-             if f not in takes and getattr(args, f) is not None]
-    if extra:
-        names = (" or " if "m" in takes else ", ").join(f"--{f}" for f in takes)
-        raise ValueError(f"{q} takes {names or 'no options'}; it does not take {', '.join(extra)}")
+    _refuse_others(args, q, takes, ("k", "l", "m", "alpha", "beta"),
+                   " or " if "m" in takes else ", ")
     if "m" not in takes:
         return getattr(moments, q)(args.n, *_required(args, q, takes)), {}
     if args.m is not None and args.alpha is not None:
@@ -217,8 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0, help="master seed")
         p.add_argument("--threads", type=int, default=threads, help=THREADS_HELP)
         p.add_argument("--statistic", choices=STATISTICS, default="L")
-        p.add_argument("--alpha", type=float, default=0.0)
-        p.add_argument("--beta", type=float, default=1.0)
+        p.add_argument("--alpha", type=float, default=None, help="window lower exponent (0)")
+        p.add_argument("--beta", type=float, default=None, help="window upper exponent (1)")
         p.add_argument("--a", type=float, default=None, help="interval lower end")
         p.add_argument("--b", type=float, default=None, help="interval upper end")
         p.add_argument("--k", type=int, default=None, help="marginal step index")

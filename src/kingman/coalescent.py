@@ -136,8 +136,6 @@ def history_from_urn_path(path: urn.UrnPath) -> MergeHistory:
 
 
 def sample_merge_history(n: int, rng: np.random.Generator) -> MergeHistory:
-    if n < 2:
-        raise ValueError("sample size must be at least 2")
     return history_from_urn_path(urn.sample_urn_path(n, rng))
 
 

@@ -13,7 +13,7 @@ import itertools
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import numpy as np
 
@@ -229,40 +229,44 @@ def exact_path_law(n: int) -> ExactLaw:
     return ExactLaw(frontier)
 
 
+class _Replay:
+    """A stand-in rng whose integers(m) replays a script of choices, extended with 0s
+    past its end, and records each m it is asked for."""
+
+    def __init__(self, script: list[int]):
+        self.script, self.ranges = script, []
+
+    def integers(self, m: int) -> int:
+        self.ranges.append(m)
+        if len(self.script) < len(self.ranges):
+            self.script.append(0)
+        return self.script[len(self.ranges) - 1]
+
+
+def enumerated_law(draw) -> ExactLaw:
+    """The exact law of draw(rng), for a draw that uses rng.integers(m) alone: every
+    sequence of choices, in odometer order, weighted by Fraction(1, prod(m))."""
+    law: dict = {}
+    script: list[int] = []
+    while True:
+        rng = _Replay(script)
+        outcome = draw(rng)
+        law[outcome] = law.get(outcome, ZERO) + Fraction(1, prod(rng.ranges))
+        while script and script[-1] == rng.ranges[len(script) - 1] - 1:
+            script.pop()
+        if not script:
+            return ExactLaw(law)
+        script[-1] += 1
+
+
 MAX_BOX_ENUM_N = 5
 
 
 def box_scheme_exact_law(n: int) -> ExactLaw:
-    """Path law of the box scheme by enumerating all move/recolor outcomes.
-
-    Choices of individual balls collapse to choices of a color weighted by
-    the current color counts, which keeps the enumeration small.
-    """
+    """Path law of sample_box_scheme, by enumerating every move and recolor it can draw."""
     if not 2 <= n <= MAX_BOX_ENUM_N:
         raise ValueError(f"box scheme enumeration limited to n <= {MAX_BOX_ENUM_N}")
-    laws: dict[tuple[int, ...], Fraction] = {}
-
-    # state: (black in A, red in A, black in B), prefix of recorded U'_k + 1
-    def recurse(step: int, ba: int, ra: int, bb: int, prefix: tuple[int, ...], p: Fraction):
-        if step == n - 1:
-            path = (0, *prefix, 0)
-            laws[path] = laws.get(path, ZERO) + p
-            return
-        in_a = ba + ra
-        for moved_black, w_move in ((True, Fraction(ba, in_a)), (False, Fraction(ra, in_a))):
-            if w_move == 0:
-                continue
-            ba2, ra2, bb2 = (ba - 1, ra, bb + 1) if moved_black else (ba, ra - 1, bb)
-            record = prefix + (ra2 + 1,)
-            blacks = ba2 + bb2
-            for recolor_a, w_rec in ((True, Fraction(ba2, blacks)), (False, Fraction(bb2, blacks))):
-                if w_rec == 0:
-                    continue
-                ba3, ra3, bb3 = (ba2 - 1, ra2 + 1, bb2) if recolor_a else (ba2, ra2, bb2 - 1)
-                recurse(step + 1, ba3, ra3, bb3, record, p * w_move * w_rec)
-
-    recurse(0, n - 1, 0, 0, (), ONE)
-    return ExactLaw(laws)
+    return enumerated_law(lambda rng: sample_box_scheme(n, rng).u)
 
 
 MAX_PERM_ENUM_N = 6
@@ -324,12 +328,7 @@ def tau(p: UrnPath) -> int:
 
     Nonempty for every valid path since U_(n-1) = 1.
     """
-    best = 0
-    for k in range(1, p.n):
-        if p.u[p.n - k] == k:
-            best = k
-    assert best >= 1
-    return best
+    return max(k for k in range(1, p.n) if p.u[p.n - k] == k)
 
 
 def tau_exact_tail(n: int, k: int) -> Fraction:
@@ -340,13 +339,7 @@ def tau_exact_tail(n: int, k: int) -> Fraction:
         raise ValueError("tail index k must be >= 1")
     if n - 2 * k + 1 < 1:
         return ZERO
-    num = 1
-    for i in range(n - 2 * k + 1, n - k + 1):
-        num *= i
-    den = 1
-    for i in range(n - k, n):
-        den *= i
-    return Fraction(num, den)
+    return Fraction(prod(range(n - 2 * k + 1, n - k + 1)), prod(range(n - k, n)))
 
 
 def tau_exact_law(n: int) -> ExactLaw:

@@ -79,11 +79,11 @@ def check_hypergeometric(seed: int = DEFAULT_SEED) -> stats.TestReport:
     return _exact_report("hypergeometric_marginal_exact", 50, seed, pairs())
 
 
-def _chain_law_report(name: str, enumerated_law, n_max: int, seed: int) -> stats.TestReport:
+def _chain_law_report(name: str, path_law, n_max: int, seed: int) -> stats.TestReport:
     """Compare an enumerated path law with the chain's path law for n <= n_max."""
     return _exact_report(name, n_max, seed, (
         pair for n in range(2, n_max + 1)
-        for pair in _same_law(enumerated_law(n), urn.exact_path_law(n))))
+        for pair in _same_law(path_law(n), urn.exact_path_law(n))))
 
 
 def check_permutation_representation(seed: int = DEFAULT_SEED) -> stats.TestReport:
@@ -93,7 +93,7 @@ def check_permutation_representation(seed: int = DEFAULT_SEED) -> stats.TestRepo
 
 
 def check_box_scheme(seed: int = DEFAULT_SEED) -> stats.TestReport:
-    """Enumerated box-scheme law equals the chain law for n <= 5."""
+    """The box-scheme sampler's enumerated law equals the chain law for n <= 5."""
     return _chain_law_report("box_scheme_exact", urn.box_scheme_exact_law,
                              urn.MAX_BOX_ENUM_N, seed)
 
@@ -275,7 +275,7 @@ def run_suite(name: str, seed: int = DEFAULT_SEED, threads: int = 1):
     """
     if name not in ("exact", "statistical", "all"):
         raise ValueError(f"unknown suite {name!r}")
-    batch.check_seed(seed)  # before any task runs: the exact suite plans nothing
+    batch.check_run(seed, threads)  # before any task runs: the exact suite plans nothing
     exact = (check_reversibility, check_chain_moments, check_hypergeometric,
              check_permutation_representation, check_box_scheme, check_variance_identity,
              check_martingale_identity, check_tau_tail) if name != "statistical" else ()

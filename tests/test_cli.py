@@ -118,6 +118,24 @@ def test_simulate_window_statistic(tmp_path):
                     "--reps", "20", "--alpha", "0.25", "--beta", "0.75",
                     "--seed", "1", "--out", str(out)]) == 0
     assert "# alpha=0.25" in read(out)
+    # without exponents, every level: the CSV of --alpha 0 --beta 1, metadata and all
+    hat = ["simulate", "--statistic", "L_hat", "--n", "30", "--reps", "20", "--out"]
+    assert run_cli(hat + [str(out)]) == 0 and "\n# alpha=0.0\n# beta=1.0\n" in read(out)
+    assert run_cli(hat + [str(tmp_path / "b.csv"), "--alpha", "0", "--beta", "1"]) == 0
+    assert read(tmp_path / "b.csv") == read(out)
+
+
+def test_simulate_and_hist_refuse_options_their_statistic_does_not_take(tmp_path, capsys):
+    # they were ignored, with exit 0
+    cases = [(["tau", "--k", "5", "--a", "3"], "tau takes no options; it does not take --a, --k"),
+             (["L", "--alpha", "0.7"], "L takes no options;"),
+             (["urn_marginal", "--k", "3", "--beta", "0.5"], "urn_marginal takes --k;")]
+    for command in ("simulate", "hist"):
+        for argv, message in cases:
+            out = tmp_path / "out"
+            assert run_cli([command, "--out", str(out), "--statistic"] + argv) == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and message in err and not out.exists(), (argv, err)
 
 
 def test_moments_plain_fraction(tmp_path, capsys):

@@ -1,7 +1,6 @@
 """Coalescent samplers and external-length functionals."""
 
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -51,38 +50,19 @@ def test_merge_history_counts_sum():
         assert hist.v[1] == n - (n - 1)  # V_1 counts singletons after n-1 merges
 
 
-def test_labeled_history_matches_chain_law():
-    # the partition sampler and the urn chain induce the same merge counts
-    n, reps = 5, 20_000
-    law = urn.exact_path_law(n)
-    expected = {}
-    for path, p in law.items():
-        x = coalescent.history_from_urn_path(urn.UrnPath(n, path)).x
-        expected[x] = expected.get(x, Fraction(0)) + p
-    rng = master_stream(4)
-    counts = {x: 0 for x in expected}
-    for _ in range(reps):
-        counts[coalescent.sample_labeled_history(n, rng).merge_counts()] += 1
-    chi2 = sum((counts[x] - reps * float(q)) ** 2 / (reps * float(q))
-               for x, q in expected.items())
-    p_value = float(gammaincc((len(expected) - 1) / 2.0, chi2 / 2.0))
-    assert p_value > 0.001
-
-
-def test_labeled_history_each_leaf_law():
-    # each individual leaf's merge level follows the k(k-1)/(n(n-1)) law
-    n, reps = 6, 30_000
-    rng = master_stream(5)
-    counts = np.zeros(n)
-    for _ in range(reps):
-        rho = coalescent.sample_labeled_history(n, rng).rho
-        counts[rho[0] - 1] += 1
-    pmf = [float(moments.rho_cdf(n, k + 1) - moments.rho_cdf(n, k))
-           for k in range(1, n)]
-    chi2 = sum((counts[k - 1] - reps * pmf[k - 1]) ** 2 / (reps * pmf[k - 1])
-               for k in range(1, n))
-    p_value = float(gammaincc((n - 2) / 2.0, chi2 / 2.0))
-    assert p_value > 0.001
+def test_labeled_history_has_the_exact_laws():
+    # every pair the partition sampler can merge, enumerated: its merge counts have the
+    # urn chain's law, and each leaf's level the law of moments.rho_cdf
+    sample = coalescent.sample_labeled_history
+    for n in range(2, 7):
+        want = {}
+        for path, p in urn.exact_path_law(n).items():
+            x = coalescent.history_from_urn_path(urn.UrnPath(n, path)).x
+            want[x] = want.get(x, 0) + p
+        assert urn.enumerated_law(lambda rng: sample(n, rng).merge_counts()) == want, n
+        levels = {k: moments.rho_cdf(n, k + 1) - moments.rho_cdf(n, k) for k in range(1, n)}
+        for leaf in range(n):
+            assert urn.enumerated_law(lambda rng: sample(n, rng).rho[leaf]) == levels, (n, leaf)
 
 
 def test_rho_single_walk_law():

@@ -58,18 +58,18 @@ def taus(paths):
     return ks[np.argmax(on_line, axis=1)]  # the first column on the line has the largest k
 
 
-def window_lengths(paths, alpha, beta, rng):
-    """sum_k T_k X_k over the window's levels, X_k = 1 + V_k - V_(k+1), V_k = U_(n-k),
-    with T_k = sum_(i>k) W_i and W_i exponential of rate i(i-1)/2."""
+def window_lengths(paths, windows, rng):
+    """sum_k T_k X_k over each window's levels, a column each, X_k = 1 + V_k - V_(k+1),
+    V_k = U_(n-k), with T_k = sum_(i>k) W_i and W_i exponential of rate i(i-1)/2."""
     reps, n = paths.shape[0], paths.shape[1] - 1
-    lo, hi = window(n, alpha, beta)
     levels = np.arange(n, 1, -1)  # W_n first
     waits = rng.exponential(2.0 / (levels * (levels - 1.0)), size=(reps, n - 1))
     t = np.zeros((reps, n + 1))
     t[:, n - 1:0:-1] = np.cumsum(waits, axis=1)  # column k holds T_k, T_n = 0
-    ks = np.arange(lo, hi)
-    x = 1 + paths[:, n - ks] - paths[:, n - ks - 1]
-    return np.sum(t[:, ks] * x, axis=1)
+    ks = np.arange(1, n)
+    terms = t[:, ks] * (1 + paths[:, n - ks] - paths[:, n - ks - 1])  # T_k X_k in column k - 1
+    return np.stack([terms[:, lo - 1:hi - 1].sum(axis=1)
+                     for lo, hi in (window(n, *w) for w in windows)], axis=1)
 
 
 def homogeneity_p(a, b, law):
@@ -111,12 +111,43 @@ def test_batch_tau_meets_the_oracle(paths_1000):
     assert p >= stats.P_FLOOR
 
 
-def test_batch_window_length_meets_the_oracle():
-    n, alpha, beta = 200, 0.5, 0.75
+def test_batch_urn_snapshot_meets_the_oracle(paths_1000):
+    n, steps = 1000, [250, 500, 750]
+    sample = batch.simulate("urn_snapshot", n, REPS, SEED, stream_id=42, steps=steps)
+    for column, k in zip(sample.T, steps):
+        law = {r + 1: urn.hypergeometric_pmf(n, k, r) for r in range(min(k, n - k))}
+        p = homogeneity_p(column, paths_1000[:, k], law)
+        print(f"U_{k} n={n}: batch urn_snapshot against oracle, two-sample chi-square p={p:.3g}")
+        assert p >= stats.P_FLOOR, k
+
+
+WINDOWS = ((0.5, 0.75), (0.75, 1.0))  # criterion 17's
+
+
+@pytest.fixture(scope="module")
+def windows_200():
     rng = np.random.default_rng(SEED + 1)
-    oracle = window_lengths(permutation_paths(n, REPS, rng), alpha, beta, rng)
+    return window_lengths(permutation_paths(200, REPS, rng), WINDOWS, rng)
+
+
+def test_batch_window_length_meets_the_oracle(windows_200):
+    n, (alpha, beta) = 200, WINDOWS[0]
+    oracle = windows_200[:, 0]
     sample = batch.simulate("L_window", n, REPS, SEED, stream_id=41, alpha=alpha, beta=beta)
     p = scipy_stats.ks_2samp(sample, oracle).pvalue
     print(f"L_window n={n} ({alpha}, {beta}): batch against oracle, two-sample KS p={p:.3g}, "
           f"means {sample.mean():.5g} and {oracle.mean():.5g}")
     assert p >= stats.P_FLOOR
+
+
+def test_batch_window_pair_meets_the_oracle(windows_200):
+    sample = batch.simulate("window_pair", 200, REPS, SEED, stream_id=43, window1=WINDOWS[0],
+                            window2=WINDOWS[1])
+    ks = [scipy_stats.ks_2samp(a, b).pvalue for a, b in zip(sample.T, windows_200.T)]
+    # Fisher's z: atanh of a sample correlation is near normal with variance 1/(reps - 3)
+    z = [np.arctanh(np.corrcoef(pair, rowvar=False)[0, 1]) for pair in (sample, windows_200)]
+    fisher = 2 * scipy_stats.norm.sf(abs(z[0] - z[1]) / np.sqrt(2 / (REPS - 3)))
+    print(f"window_pair n=200 {WINDOWS}: batch against oracle, two-sample KS p={ks[0]:.3g} and "
+          f"{ks[1]:.3g}; correlations {np.tanh(z[0]):.4f} and {np.tanh(z[1]):.4f}, two-sample "
+          f"Fisher z p={fisher:.3g}")
+    assert min(ks + [fisher]) >= stats.P_FLOOR

@@ -116,54 +116,12 @@ def test_sampler_matches_exact_law():
     assert p_value > 0.001
 
 
-def test_box_scheme_sampler_matches_exact_law():
-    n, reps = 4, 20_000
-    law = urn.exact_path_law(n)
-    rng = master_stream(321)
-    counts = {path: 0 for path in law}
-    for _ in range(reps):
-        counts[urn.sample_box_scheme(n, rng).u] += 1
-    chi2 = sum((counts[p] - reps * float(q)) ** 2 / (reps * float(q))
-               for p, q in law.items())
-    p_value = float(gammaincc((len(law) - 1) / 2.0, chi2 / 2.0))
-    assert p_value > 0.001
-
-
-class Script:
-    """A stand-in rng whose integers(m) replays a script of choices, then 0s past
-    its end, and records each m it is asked for."""
-
-    def __init__(self, script):
-        self.script, self.ranges = script, []
-
-    def integers(self, m):
-        i = len(self.ranges)
-        self.ranges.append(m)
-        return self.script[i] if i < len(self.script) else 0
-
-
-def enumerated_law(sample):
-    """The law of the path sample(rng) returns, over every script of choices in
-    odometer order, each with probability prod 1/m."""
-    law, script = {}, []
-    while True:
-        rng = Script(script)
-        path = sample(rng).u
-        law[path] = law.get(path, 0) + math.prod(Fraction(1, m) for m in rng.ranges)
-        script = script + [0] * (len(rng.ranges) - len(script))
-        while script and script[-1] == rng.ranges[len(script) - 1] - 1:
-            script.pop()
-        if not script:
-            return law
-        script[-1] += 1
-
-
 def test_permutation_and_box_samplers_have_the_exact_path_law():
     for n in range(2, 6):
-        law = dict(urn.exact_path_law(n))
-        assert enumerated_law(lambda rng: urn.path_from_permutations(
-            urn.sample_permutation_pair(n, rng))) == law, n
-        assert enumerated_law(lambda rng: urn.sample_box_scheme(n, rng)) == law, n
+        law = urn.exact_path_law(n)
+        assert urn.enumerated_law(lambda rng: urn.path_from_permutations(
+            urn.sample_permutation_pair(n, rng)).u) == law, n
+        assert urn.enumerated_law(lambda rng: urn.sample_box_scheme(n, rng).u) == law, n
 
 
 def test_permutation_path_construction():
