@@ -50,19 +50,27 @@ def test_merge_history_counts_sum():
         assert hist.v[1] == n - (n - 1)  # V_1 counts singletons after n-1 merges
 
 
-def test_labeled_history_has_the_exact_laws():
-    # every pair the partition sampler can merge, enumerated: its merge counts have the
-    # urn chain's law, and each leaf's level the law of moments.rho_cdf
-    sample = coalescent.sample_labeled_history
+def test_labeled_history_matches_chain_law():
+    # every pair the partition sampler can merge, enumerated: its merge counts have
+    # exactly the urn chain's law
     for n in range(2, 7):
         want = {}
         for path, p in urn.exact_path_law(n).items():
             x = coalescent.history_from_urn_path(urn.UrnPath(n, path)).x
             want[x] = want.get(x, 0) + p
-        assert urn.enumerated_law(lambda rng: sample(n, rng).merge_counts()) == want, n
+        got = urn.enumerated_law(
+            lambda rng: coalescent.sample_labeled_history(n, rng).merge_counts())
+        assert got == want, n
+
+
+def test_labeled_history_each_leaf_law():
+    # each leaf's merge level has exactly the law of moments.rho_cdf
+    for n in range(2, 7):
         levels = {k: moments.rho_cdf(n, k + 1) - moments.rho_cdf(n, k) for k in range(1, n)}
         for leaf in range(n):
-            assert urn.enumerated_law(lambda rng: sample(n, rng).rho[leaf]) == levels, (n, leaf)
+            got = urn.enumerated_law(
+                lambda rng: coalescent.sample_labeled_history(n, rng).rho[leaf])
+            assert got == levels, (n, leaf)
 
 
 def test_rho_single_walk_law():
