@@ -1,7 +1,7 @@
 """Command-line front end: simulate, moments, verify, hist.
 
 Exit codes: 0 success / all tests pass, 1 test failure, 2 usage error,
-3 I/O error.
+3 I/O error, 141 stdout's reader closed (128 + SIGPIPE).
 """
 
 from __future__ import annotations
@@ -61,6 +61,7 @@ def _write(path: str | None, parts: Iterable[str]) -> None:
     """Write each of parts as it is made, to stdout for no path or "-": a file opens first."""
     if path is None or path == "-":
         sys.stdout.writelines(parts)
+        sys.stdout.flush()  # a closed reader fails here, not at the interpreter's exit
         return
     with open(path, "w") as fh:
         fh.writelines(parts)
@@ -274,6 +275,11 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
+        if isinstance(exc, BrokenPipeError) and args.out in (None, "-"):
+            # stdout's reader is gone: end quietly, as SIGPIPE ends a writer in a shell, with
+            # stdout on the null device so that the final flush has nowhere to fail
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 141  # 128 + SIGPIPE
         print(f"I/O error: {exc}", file=sys.stderr)
         return 3
 

@@ -35,9 +35,3 @@ def replicate_stream(seed: int, replicate: int, stream_id: int = 0) -> np.random
     """
     key = np.array(replicate_key(seed, replicate, stream_id), dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def master_stream(seed: int) -> np.random.Generator:
-    """A single stream for non-replicated use (interactive sampling)."""
-    key = np.array([seed & _MASK64, _MASK64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))

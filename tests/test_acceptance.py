@@ -34,20 +34,31 @@ EXACT_CHECKS = {"reversibility_exact": 216, "chain_moments_exact": 533,
 
 
 @pytest.fixture(scope="module")
-def suite():
-    """run_suite("all") at 2 threads: (reports by name, samples by stream id, pools started)."""
+def suite(tmp_path_factory):
+    """`kingman verify --suite all` at 2 threads through cli.main: (reports by name,
+    samples by stream id, pools started, the report file's bytes)."""
     pools = []  # max_workers of every process pool the suite starts
+    reports, kept = {}, []  # the report objects and the samples run_suite hands the CLI
 
     class Recording(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, max_workers=None, **kwargs):
             pools.append(max_workers)
             super().__init__(max_workers, **kwargs)
 
+    def keeping(*args, **kwargs):
+        made, samples = run_suite(*args, **kwargs)
+        kept.append(samples)  # filled as the reports are read
+        return (reports.setdefault(r.name, r) for r in made), samples
+
+    run_suite = verify.run_suite
+    path = tmp_path_factory.mktemp("suite") / "report.txt"
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
-        reports, samples = verify.run_suite("all", SEED, threads=2)
-        reports = {r.name: r for r in reports}  # the suite runs as its reports are read
-    return reports, samples, pools
+        mp.setattr(verify, "run_suite", keeping)
+        code = cli.main(["verify", "--suite", "all", "--seed", str(SEED), "--threads", "2",
+                         "--out", str(path)])
+    assert code in (0, 1)
+    return reports, kept[0], pools, path.read_bytes()
 
 
 @pytest.fixture(scope="module")
@@ -269,10 +280,10 @@ def test_criterion_17_window_independence(reports):
           report)
 
 
-def test_criterion_18_cli_determinism(tmp_path):
-    outs = []
-    for tag, threads in (("a", 1), ("b", 2), ("c", 8)):
-        path = tmp_path / f"report_{tag}.txt"
+def test_criterion_18_cli_determinism(suite, tmp_path):
+    outs = [suite[3]]  # the suite fixture's report, written at 2 threads
+    for threads in (1, 8):
+        path = tmp_path / f"report_{threads}.txt"
         code = cli.main(["verify", "--suite", "all", "--seed", "7",
                          "--threads", str(threads), "--out", str(path)])
         assert code in (0, 1)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaincc
 
+from conftest import checked_hat_length
 from kingman import batch, coalescent, moments, urn, verify
 from kingman.rng import replicate_key, replicate_stream
 
@@ -300,7 +301,7 @@ SCALAR = {
                  coalescent.window_external_length(times, hist, alpha, beta)),
     "L_hat": (lambda n: [{"alpha": a, "beta": b} for a, b in WINDOWS],
               lambda path, times, hist, w, alpha, beta:
-              coalescent.hat_external_length(times, hist, alpha, beta)),
+              checked_hat_length(times, hist, alpha, beta)),
     "tau": (lambda n: [{}], lambda path, times, hist, w: urn.tau(path)),
     "rho": (lambda n: [{}], lambda path, times, hist, w: scalar_rho(hist.n, w[0])),
     "R": (lambda n: [{}], lambda path, times, hist, w: coalescent.single_branch_length(

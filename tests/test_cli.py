@@ -1,6 +1,8 @@
 """Command-line interface: formats, determinism, exit codes."""
 
+import contextlib
 import inspect
+import io
 import json
 import math
 import os
@@ -8,9 +10,12 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kingman import __version__, batch, cli, moments, verify
 
@@ -221,13 +226,19 @@ def test_quantities_are_moments_functions_of_n_and_parsed_options():
 OPTION_VALUES = {"k": "1", "l": "2", "m": "1", "alpha": "0.5", "beta": "0.75"}
 
 
+def quantity_options(quantity):
+    """Each way to give a moments quantity its options, as arguments: the options its
+    function names after n, with --m or --alpha for m."""
+    takes = list(inspect.signature(getattr(moments, quantity)).parameters)[1:]
+    return [[arg for name in chosen for arg in (f"--{name}", OPTION_VALUES[name])]
+            for chosen in ([["m"], ["alpha"]] if "m" in takes else [takes])]
+
+
 def test_moments_refuse_every_n_outside_their_domain(capsys):
     # a negative n to a fractional power was complex, and n = 0 or 1 divided by
     # zero: each ended in a traceback
     for quantity in cli._QUANTITIES:
-        takes = list(inspect.signature(getattr(moments, quantity)).parameters)[1:]
-        for chosen in ([["m"], ["alpha"]] if "m" in takes else [takes]):
-            options = [arg for name in chosen for arg in (f"--{name}", OPTION_VALUES[name])]
+        for options in quantity_options(quantity):
             for n in (-5, 0, 1):
                 argv = ["moments", "--quantity", quantity, "--n", str(n)] + options
                 code, err = run_cli(argv), capsys.readouterr().err
@@ -293,6 +304,111 @@ def test_io_error_exit_code(tmp_path):
     missing_dir = tmp_path / "no" / "such" / "dir" / "x.csv"
     assert run_cli(["simulate", "--statistic", "L", "--n", "10", "--reps", "10",
                     "--out", str(missing_dir)]) == 3
+
+
+def test_closed_stdout_reader_ends_the_command_quietly():
+    # as `kingman ... | head -1` ends: exit 128 + SIGPIPE, nothing on stderr, whether the
+    # reader closes after a line or before the first write
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    for argv, lines in ((["simulate", "--n", "10", "--reps", "100000", "--statistic", "rho"], 1),
+                        (["moments", "--quantity", "e_U", "--n", "5", "--k", "2"], 0)):
+        proc = subprocess.Popen([sys.executable, "-m", "kingman.cli"] + argv, env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        head = [proc.stdout.readline() for _ in range(lines)]
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=60), err) == (141, b""), argv
+        assert all(line.startswith(b"# kingman") for line in head), head
+    # a file that cannot take the output is still an I/O error
+    if os.path.exists("/dev/full"):
+        assert run_cli(["simulate", "--n", "10", "--reps", "10", "--out", "/dev/full"]) == 3
+
+
+# valid calls at n = 7: each statistic and each quantity with its own options
+STATISTIC_OPTIONS = {"L_window": ["--alpha", "0.25", "--beta", "0.75"],
+                     "L_hat": ["--alpha", "0.25", "--beta", "0.75"],
+                     "urn_marginal": ["--k", "3"], "eta_count": ["--a", "0.5", "--b", "2"]}
+VALID_CALLS = [[command, "--statistic", statistic, "--n", "7", "--reps", "5", "--seed", "7",
+                "--threads", "1"] + STATISTIC_OPTIONS.get(statistic, [])
+               + (["--bins", "5"] if command == "hist" else [])
+               for command in ("simulate", "hist") for statistic in cli.STATISTICS] + [
+    ["moments", "--quantity", quantity, "--n", "7"] + options
+    for quantity in cli._QUANTITIES for options in quantity_options(quantity)]
+SIZES = ("-5", "-1", "0", "1", "2", "3", "7")  # n at and around the ends of every domain
+# values an option can be given: in range, at the ends of a domain, too large, not finite,
+# not a number
+VALUES = st.sampled_from(SIZES[:-1] + ("0.25", "0.5", "-0", "1000", "1e308", "inf", "nan", "abc"))
+
+
+@st.composite
+def command_lines(draw):
+    """The calls made from one valid call: at each n of SIZES, then at n = 7 with one
+    option's value replaced by a drawn one, then with a drawn option added (one the call
+    does not take, or a second of one it does), all with one drawn --out."""
+    call = draw(st.sampled_from(VALID_CALLS))
+    offered = ("k", "l", "m", "alpha", "beta") if call[0] == "moments" else \
+        ("alpha", "beta", "a", "b", "k")
+    lines = [call[:4] + [n] + call[5:] for n in SIZES]
+    lines += [call[:i] + [draw(VALUES)] + call[i + 1:] for i in range(6, len(call), 2)]
+    lines.append(call + ["--" + draw(st.sampled_from(offered)), draw(VALUES)])
+    tail = draw(st.sampled_from(([], ["--format", "plain"], ["--format", "csv"]))) \
+        if call[0] == "moments" else []
+    tail += draw(st.sampled_from(([], ["--out", "-"], ["--out", "FILE"], ["--out", "MISSING"])))
+    return [line + tail for line in lines]
+
+
+def test_cli_boundary_contract(tmp_path, monkeypatch):
+    # every run exits 0 having used every option it was given, or is refused by argparse,
+    # or exits 2 or 3 with one error line and no traceback; a refused run leaves no file
+    paths = {"FILE": tmp_path / "out", "MISSING": tmp_path / "no" / "out"}
+    parser = cli.build_parser()  # one parser serves every call: building it is most of one
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+
+    def check(argv):
+        path = paths.get(argv[-1]) if argv[-2] == "--out" else None
+        if path is not None:
+            argv = argv[:-1] + [str(path)]
+            path.unlink(missing_ok=True)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning is an error too
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse's usage error
+                assert exc.code == 2, (argv, exc.code)
+                code = "usage"
+        stdout, stderr = out.getvalue(), err.getvalue()
+        if code == "usage":
+            assert stderr.startswith("usage: kingman") and stdout == "", argv
+            assert stderr.splitlines()[-1].startswith("kingman "), argv
+        elif code == 0:
+            takes = {arg[2:] for options in quantity_options(argv[2]) for arg in options[::2]} \
+                if argv[0] == "moments" else batch.STATISTICS[argv[2]].keywords
+            given_options = {flag[2:] for flag in argv[3::2]} - {
+                "n", "reps", "seed", "threads", "bins", "format", "out"}
+            assert given_options <= set(takes), (argv, takes)
+            text = path.read_text() if path else stdout
+            assert stderr == "" and text.endswith("\n") and stdout == ("" if path else text)
+            if argv[0] == "simulate":
+                reps = int(argv[argv.index("--reps") + 1])
+                assert sum(not row.startswith("#") for row in text.splitlines()) == reps + 1
+        else:
+            assert code in (2, 3) and stdout == "", (argv, code)
+            assert stderr.count("\n") == 1 and "Traceback" not in stderr, (argv, stderr)
+            assert stderr.startswith("error: " if code == 2 else "I/O error: "), (argv, stderr)
+        if code != 0 and path is not None:
+            assert not path.exists(), argv
+
+    @settings(max_examples=300, derandomize=True)
+    @given(command_lines())
+    def contract(lines):
+        for argv in lines:
+            check(argv)
+
+    contract()
 
 
 def test_threads_env_fallback(monkeypatch):

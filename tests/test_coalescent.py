@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from scipy.special import gammaincc
 
+from conftest import checked_hat_length, master_stream
 from kingman import coalescent, moments, urn
-from kingman.rng import master_stream
 
 
 def sample_pair(n, rng):
@@ -45,7 +45,7 @@ def test_history_from_urn_path():
 def test_merge_history_counts_sum():
     rng = master_stream(3)
     for n in (2, 3, 17):
-        hist = coalescent.sample_merge_history(n, rng)
+        hist = coalescent.history_from_urn_path(urn.sample_urn_path(n, rng))
         assert sum(hist.x) == n
         assert hist.v[1] == n - (n - 1)  # V_1 counts singletons after n-1 merges
 
@@ -109,7 +109,7 @@ def test_hat_length_two_forms_agree_and_bound():
     rng = master_stream(9)
     for _ in range(200):
         times, hist = sample_pair(30, rng)
-        hat = coalescent.hat_external_length(times, hist, 0.5, 1.0)
+        hat = checked_hat_length(times, hist, 0.5, 1.0)
         total = coalescent.total_external_length(times, hist)
         assert 0.0 <= hat <= total + 1e-12
 
@@ -118,7 +118,7 @@ def test_hat_full_range_is_total():
     # truncating at T_1 and T_n clips nothing
     rng = master_stream(10)
     times, hist = sample_pair(25, rng)
-    hat = coalescent.hat_external_length(times, hist, 0.0, 1.0)
+    hat = checked_hat_length(times, hist, 0.0, 1.0)
     assert hat == pytest.approx(coalescent.total_external_length(times, hist),
                                 rel=1e-12)
 
@@ -147,14 +147,14 @@ def test_single_branch_length():
 def test_mismatched_sizes_rejected():
     rng = master_stream(13)
     times = coalescent.sample_waiting_times(5, rng)
-    hist = coalescent.sample_merge_history(6, rng)
+    hist = coalescent.history_from_urn_path(urn.sample_urn_path(6, rng))
     with pytest.raises(ValueError):
         coalescent.total_external_length(times, hist)
 
 
 def test_small_n_rejected():
     rng = master_stream(14)
-    for fn in (coalescent.sample_waiting_times, coalescent.sample_merge_history,
+    for fn in (coalescent.sample_waiting_times, urn.sample_urn_path,
                coalescent.sample_labeled_history, coalescent.sample_rho_single):
         with pytest.raises(ValueError):
             fn(1, rng)

@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
+from conftest import master_stream
 from kingman import stats, verify
-from kingman.rng import master_stream
 
 
 def make_sample(values):

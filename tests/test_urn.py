@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaincc
 
+from conftest import master_stream
 from kingman import urn, verify
-from kingman.rng import master_stream
 
 
 def valid_states(n, k):
