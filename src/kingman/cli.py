@@ -137,7 +137,7 @@ def cmd_moments(args) -> int:
 
 def cmd_verify(args) -> int:
     from . import verify
-    reports = verify.run_suite(args.suite, seed=args.seed, threads=args.threads)[0]
+    reports = verify.run_suite(args.suite, seed=args.seed, threads=args.threads)
     passed = []
 
     def text():  # run once _write has opened the output

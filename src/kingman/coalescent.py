@@ -9,7 +9,7 @@ driven by the embedded urn chain via V_k = U_(n-k).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,27 +39,24 @@ class CoalescentTimes:
 
 @dataclass(frozen=True)
 class MergeHistory:
-    """Counts X_1..X_(n-1) and internal-branch counts V_0..V_n."""
+    """Internal-branch counts V_0..V_n; x[k-1] = X_k = 1 + V_k - V_(k+1), k = 1..n-1."""
 
     n: int
-    x: tuple[int, ...]
     v: tuple[int, ...]
+    x: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
-        n = self.n
+        n, v = self.n, self.v
         if n < 2:
             raise ValueError("sample size must be at least 2")
-        if len(self.x) != n - 1 or len(self.v) != n + 1:
-            raise ValueError("x must have n-1 entries and v must have n+1")
-        if self.v[n] != 0 or self.v[1] != 1:
+        if len(v) != n + 1:
+            raise ValueError("v must have n+1 entries")
+        if v[n] != 0 or v[1] != 1:
             raise ValueError("need V_n = 0 and V_1 = 1")
-        for k in range(1, n):
-            if self.x[k - 1] != 1 + self.v[k] - self.v[k + 1]:
-                raise ValueError("X_k must equal 1 + V_k - V_(k+1)")
-            if self.x[k - 1] not in (0, 1, 2):
-                raise ValueError("merge counts take values in {0, 1, 2}")
-        if sum(self.x) != n:
-            raise ValueError("merge counts must total n")
+        x = tuple(1 + v[k] - v[k + 1] for k in range(1, n))
+        if any(xk not in (0, 1, 2) for xk in x):
+            raise ValueError("merge counts take values in {0, 1, 2}")
+        object.__setattr__(self, "x", x)
 
 
 @dataclass(frozen=True)
@@ -127,10 +124,7 @@ def sample_waiting_times(n: int, rng: np.random.Generator) -> CoalescentTimes:
 
 def history_from_urn_path(path: urn.UrnPath) -> MergeHistory:
     """Map an urn trajectory to merge counts via V_k = U_(n-k)."""
-    n = path.n
-    v = tuple(path.u[n - k] for k in range(n + 1))
-    x = tuple(1 + v[k] - v[k + 1] for k in range(1, n))
-    return MergeHistory(n, x, v)
+    return MergeHistory(path.n, path.u[::-1])
 
 
 def sample_labeled_history(n: int, rng: np.random.Generator) -> LabeledHistory:

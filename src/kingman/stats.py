@@ -125,19 +125,14 @@ def chi_square_gof(values: np.ndarray, expected: Mapping, *,
     return TestReport(name, all_params, stat, p, P_FLOOR, p >= P_FLOOR, seed, reps)
 
 
-def mean_test(values: np.ndarray, exact_mean, exact_var=None, *,
+def mean_test(values: np.ndarray, exact_mean, var, *,
               name: str, seed: int, params: dict | None = None) -> TestReport:
-    """Four-standard-error gate on the sample mean.
-
-    The standard error comes from the exact variance when provided, else
-    from the sample variance.
-    """
+    """Four-standard-error gate on the sample mean, the standard error from var."""
     reps = len(values)
     if reps < 1000:
         raise ValueError("mean test requires at least 1000 replicates")
     mu = float(np.mean(values))
-    var = float(exact_var) if exact_var is not None else float(np.var(values, ddof=1))
-    se = math.sqrt(var / reps)
+    se = math.sqrt(float(var) / reps)
     if se == 0.0:
         z = 0.0 if mu == float(exact_mean) else math.inf
     else:

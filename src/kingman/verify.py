@@ -246,27 +246,8 @@ CRITERIA: tuple[Criterion, ...] = (
 )
 
 
-def _run(exact: list[batch.Task], criteria, seed: int, threads: int):
-    """The exact checks' reports, then each criterion's, made as they are read; and each
-    criterion's sample by stream id, stored once its chunks are in."""
-    plans = [batch.plan(c.statistic, c.n, c.reps, seed, stream_id=c.stream_id, **c.keywords)
-             for c in criteria]  # the one pool balances the criteria: no chunk is narrowed
-    results = batch.run(exact + [task for tasks in plans for task in tasks], threads)
-    samples = {}
-
-    def reports():
-        for _ in exact:
-            yield next(results)
-        for c, tasks in zip(criteria, plans):
-            samples[c.stream_id] = sample = np.concatenate([next(results) for _ in tasks], axis=0)
-            yield from c.reduce(seed, c.n, sample, **c.keywords)
-
-    return reports(), samples
-
-
 def run_suite(name: str, seed: int = DEFAULT_SEED, threads: int = 1):
-    """A suite's reports in their fixed order, made as they are read, and each criterion's
-    sample by stream id, stored as its reports are made.
+    """A suite's reports in their fixed order, made as they are read.
 
     Every argument is checked before this returns, and nothing runs before the first
     report is read.  The exact checks (first: each takes about as long as the largest
@@ -276,11 +257,23 @@ def run_suite(name: str, seed: int = DEFAULT_SEED, threads: int = 1):
     if name not in ("exact", "statistical", "all"):
         raise ValueError(f"unknown suite {name!r}")
     batch.check_run(seed, threads)  # before any task runs: the exact suite plans nothing
-    exact = (check_reversibility, check_chain_moments, check_hypergeometric,
-             check_permutation_representation, check_box_scheme, check_variance_identity,
-             check_martingale_identity, check_tau_tail) if name != "statistical" else ()
-    return _run([batch.Task(check, (seed,)) for check in exact],
-                CRITERIA if name != "exact" else (), seed, threads)
+    exact = [batch.Task(check, (seed,)) for check in (
+        check_reversibility, check_chain_moments, check_hypergeometric,
+        check_permutation_representation, check_box_scheme, check_variance_identity,
+        check_martingale_identity, check_tau_tail)] if name != "statistical" else []
+    criteria = CRITERIA if name != "exact" else ()
+    plans = [batch.plan(c.statistic, c.n, c.reps, seed, stream_id=c.stream_id, **c.keywords)
+             for c in criteria]  # the one pool balances the criteria: no chunk is narrowed
+    results = batch.run(exact + [task for tasks in plans for task in tasks], threads)
+
+    def reports():
+        for _ in exact:
+            yield next(results)
+        for c, tasks in zip(criteria, plans):
+            sample = np.concatenate([next(results) for _ in tasks], axis=0)
+            yield from c.reduce(seed, c.n, sample, **c.keywords)
+
+    return reports()
 
 
 def statistical_suite(seed: int = DEFAULT_SEED, threads: int = 1):

@@ -17,6 +17,7 @@ import math
 import os
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from kingman import cli, moments, stats, urn, verify
@@ -33,12 +34,22 @@ EXACT_CHECKS = {"reversibility_exact": 216, "chain_moments_exact": 533,
                 "martingale_identity_exact": 84_575, "tau_tail_exact": 44}
 
 
+def keeping_samples(criteria, samples):
+    """Copies of criteria whose reducers store each sample under its stream id first."""
+    def keeper(c):
+        def reduce(seed, n, sample, **keywords):
+            samples[c.stream_id] = sample
+            return c.reduce(seed, n, sample, **keywords)
+        return c._replace(reduce=reduce)
+    return tuple(map(keeper, criteria))
+
+
 @pytest.fixture(scope="module")
 def suite(tmp_path_factory):
     """`kingman verify --suite all` at 2 threads through cli.main: (reports by name,
     samples by stream id, pools started, the report file's bytes)."""
     pools = []  # max_workers of every process pool the suite starts
-    reports, kept = {}, []  # the report objects and the samples run_suite hands the CLI
+    reports, samples = {}, {}  # the report objects the CLI writes, and the samples reduced
 
     class Recording(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, max_workers=None, **kwargs):
@@ -46,19 +57,19 @@ def suite(tmp_path_factory):
             super().__init__(max_workers, **kwargs)
 
     def keeping(*args, **kwargs):
-        made, samples = run_suite(*args, **kwargs)
-        kept.append(samples)  # filled as the reports are read
-        return (reports.setdefault(r.name, r) for r in made), samples
+        return (reports.setdefault(r.name, r) for r in run_suite(*args, **kwargs))
 
     run_suite = verify.run_suite
     path = tmp_path_factory.mktemp("suite") / "report.txt"
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
         mp.setattr(verify, "run_suite", keeping)
+        # reducers run in this process, whatever the thread count
+        mp.setattr(verify, "CRITERIA", keeping_samples(verify.CRITERIA, samples))
         code = cli.main(["verify", "--suite", "all", "--seed", str(SEED), "--threads", "2",
                          "--out", str(path)])
     assert code in (0, 1)
-    return reports, kept[0], pools, path.read_bytes()
+    return reports, samples, pools, path.read_bytes()
 
 
 @pytest.fixture(scope="module")
@@ -68,7 +79,7 @@ def reports(suite):
 
 @pytest.fixture(scope="module")
 def samples(suite):
-    """The sample each criterion drew, by stream id, as run_suite returned it."""
+    """The sample each criterion drew, by stream id, as its reducer received it."""
     return suite[1]
 
 
@@ -173,8 +184,10 @@ def test_criterion_12_scaled_point_counts(reports, samples):
     show_limit(12, f"{label}: mean gate", gate)
     n, a, b = gate.params["n"], gate.params["a"], gate.params["b"]
     exact = moments.e_eta_count(n, a, b)
-    report = stats.mean_test(samples[verify._S_ETA], exact, name="scaled_point_counts_mean_exact",
-                             seed=gate.seed, params={"n": n, "a": a, "b": b})
+    eta = samples[verify._S_ETA]
+    report = stats.mean_test(eta, exact, np.var(eta, ddof=1),
+                             name="scaled_point_counts_mean_exact", seed=gate.seed,
+                             params={"n": n, "a": a, "b": b})
     assert report.statistic == gate.statistic
     check(12, f"mean count on [1,2) within 4 SE of exact finite-n {exact:.6g}, n=10^4",
           report)
@@ -257,8 +270,9 @@ def test_criterion_16_gp_covariance(reports, samples):
         k, l = math.floor(n * s), math.floor(n * t)
         exact = (moments.cov_U(n, k, l)
                  + (moments.e_U(n, k) - c[i]) * (moments.e_U(n, l) - c[j])) / n
+        prod = w[:, i] * w[:, j]
         check(16, f"E(w_{s} w_{t}) within 4 SE of exact {float(exact):.6g}, n={n}",
-              stats.mean_test(w[:, i] * w[:, j], exact, name="gp_mean_product_exact",
+              stats.mean_test(prod, exact, np.var(prod, ddof=1), name="gp_mean_product_exact",
                               seed=gate.seed, params={"n": n, "s": s, "t": t}))
 
 
@@ -308,7 +322,36 @@ def test_worker_exceptions_reach_the_caller(monkeypatch):
     # the forked workers inherit the patches; nothing broken is pickled
     monkeypatch.setattr(verify.urn, "exact_path_law", broken)  # three exact checks
     with pytest.raises(RuntimeError, match="oracle failed"):
-        list(verify.run_suite("exact", SEED, threads=2)[0])
+        list(verify.run_suite("exact", SEED, threads=2))
     monkeypatch.setattr(verify.batch, "_urn_paths", broken)  # every chunk but R's
     with pytest.raises(RuntimeError, match="oracle failed"):
-        list(verify.run_suite("statistical", SEED, threads=2)[0])
+        list(verify.run_suite("statistical", SEED, threads=2))
+
+
+def test_run_suite_checks_first_and_runs_as_read(monkeypatch):
+    ran = []  # the exact checks run, in order
+
+    def recording(name):
+        def check(seed):
+            ran.append(name)
+            return stats.TestReport(name, {}, 0.0, 0.0, 0.0, True, seed, 0)
+        return check
+
+    names = [name for name in vars(verify) if name.startswith("check_")]
+    assert len(names) == len(EXACT_CHECKS)
+    for name in names:
+        monkeypatch.setattr(verify, name, recording(name))
+    for suite in ("exact", "statistical", "all"):  # refused when called, not when read
+        for seed, threads in ((-1, 1), (2 ** 64, 1), (SEED, 0), (SEED, 1.5)):
+            with pytest.raises(ValueError):
+                verify.run_suite(suite, seed, threads)
+    with pytest.raises(ValueError, match="unknown suite"):
+        verify.run_suite("exacts", SEED, 1)
+    reports = verify.run_suite("exact", SEED, 1)
+    assert not isinstance(reports, tuple) and iter(reports) is reports
+    assert ran == []
+    first = next(reports)
+    assert ran == [first.name]
+    rest = list(reports)
+    assert all(isinstance(r, stats.TestReport) and r.seed == SEED for r in [first] + rest)
+    assert sorted(ran) == sorted(names) and [r.name for r in [first] + rest] == ran

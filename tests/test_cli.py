@@ -3,7 +3,6 @@
 import contextlib
 import inspect
 import io
-import json
 import math
 import os
 import subprocess
@@ -246,17 +245,6 @@ def test_moments_refuse_every_n_outside_their_domain(capsys):
                                      and err.count("\n") == 1), (argv, code, err)
 
 
-def test_verify_exact_suite(tmp_path):
-    out = tmp_path / "verify.txt"
-    assert run_cli(["verify", "--suite", "exact", "--seed", "7",
-                    "--out", str(out)]) == 0
-    lines = read(out).strip().splitlines()
-    assert lines[-1] == "PASS 8/8"
-    for ln in lines[:-1]:
-        obj = json.loads(ln)
-        assert obj["pass"] is True and obj["seed"] == 7
-
-
 def test_verify_rejects_zero_threads(monkeypatch, capsys, tmp_path):
     # refused before any check runs, although the exact suite never simulates,
     # and before the output is opened
@@ -452,13 +440,19 @@ COLD_START = textwrap.dedent("""
     for argv in (["simulate", "--statistic", "L", "--n", "20", "--reps", "50"],
                  ["hist", "--statistic", "tau", "--n", "50", "--reps", "100", "--bins", "5"],
                  ["moments", "--quantity", "fu_li_var", "--n", "50"],
-                 ["verify", "--suite", "exact", "--threads", "1"]):
+                 ["verify", "--suite", "exact", "--seed", "7", "--threads", "1"]):
         assert cli.main(argv + ["--out", out]) == 0, argv
         assert "scipy.special" not in sys.modules, argv
         if argv[0] in ("simulate", "hist"):
             assert loaded(unused) == [], (argv, loaded(unused))
         elif argv[0] == "moments":
             assert loaded(("kingman.moments", "kingman.verify")) == ["kingman.moments"]
+
+    import json  # the exact suite's report, the last written to out
+    with open(out) as f:
+        *reports, last = f.read().splitlines()
+    assert last == "PASS 8/8", last
+    assert all(r["pass"] is True and r["seed"] == 7 for r in map(json.loads, reports)), reports
 
     import kingman
     assert kingman.verify.CRITERIA and not hasattr(kingman, "nope")  # AttributeError only

@@ -42,6 +42,18 @@ def test_history_from_urn_path():
     assert all(x in (0, 1, 2) for x in hist.x)
 
 
+def test_merge_history_refuses_a_malformed_v():
+    assert coalescent.MergeHistory(4, (0, 1, 2, 1, 0)).x == (0, 2, 2)
+    for n, v, why in ((1, (0, 0), "at least 2"),
+                      (3, (0, 1, 0), "n\\+1 entries"), (3, (0, 1, 1, 0, 0), "n\\+1 entries"),
+                      (3, (0, 1, 1, 1), "V_n = 0"),  # V_n = 1
+                      (3, (0, 2, 1, 0), "V_1 = 1"),  # V_1 = 2, though X = (2, 2)
+                      (4, (0, 1, 3, 1, 0), "merge counts"),  # V rises by 2: X_1 = -1
+                      (5, (0, 1, 2, 3, 1, 0), "merge counts")):  # V falls by 2: X_3 = 3
+        with pytest.raises(ValueError, match=why):
+            coalescent.MergeHistory(n, v)
+
+
 def test_merge_history_counts_sum():
     rng = master_stream(3)
     for n in (2, 3, 17):

@@ -114,8 +114,10 @@ def test_independence_check():
     assert not rep_dep.passed
 
 
-def test_gp_check_passes_at_scale():
-    [rep], _ = verify._run([], [verify._gp_covariance(17, 1000, [(0.5, 0.5)], 4000)], 99, 1)
+def test_gp_check_passes_at_scale(monkeypatch):
+    gp = verify._gp_covariance(17, 1000, [(0.5, 0.5)], 4000)
+    monkeypatch.setattr(verify, "CRITERIA", (gp,))
+    [rep] = verify.run_suite("statistical", 99, 1)
     assert rep.passed
 
 
@@ -139,7 +141,7 @@ def test_report_json_is_strict_for_non_finite_values():
     def refuse(token):
         raise ValueError(f"not strict JSON: {token}")
 
-    rep = stats.mean_test(np.full(1000, 3.0), 2.0, name="m", seed=0)  # zero variance: z = inf
+    rep = stats.mean_test(np.full(1000, 3.0), 2.0, 0.0, name="m", seed=0)  # se 0: z = inf
     assert json.loads(rep.to_json(), parse_constant=refuse)["p_or_distance"] == "inf"
     rep = stats.TestReport("demo", {"n": 5}, math.nan, 0.1 + 0.2, -math.inf, False, 7, 100)
     line = rep.to_json()
