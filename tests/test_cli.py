@@ -3,6 +3,7 @@
 import contextlib
 import inspect
 import io
+import json
 import math
 import os
 import subprocess
@@ -439,20 +440,13 @@ COLD_START = textwrap.dedent("""
     out = sys.argv[1]
     for argv in (["simulate", "--statistic", "L", "--n", "20", "--reps", "50"],
                  ["hist", "--statistic", "tau", "--n", "50", "--reps", "100", "--bins", "5"],
-                 ["moments", "--quantity", "fu_li_var", "--n", "50"],
-                 ["verify", "--suite", "exact", "--seed", "7", "--threads", "1"]):
+                 ["moments", "--quantity", "fu_li_var", "--n", "50"]):
         assert cli.main(argv + ["--out", out]) == 0, argv
         assert "scipy.special" not in sys.modules, argv
         if argv[0] in ("simulate", "hist"):
             assert loaded(unused) == [], (argv, loaded(unused))
-        elif argv[0] == "moments":
+        else:
             assert loaded(("kingman.moments", "kingman.verify")) == ["kingman.moments"]
-
-    import json  # the exact suite's report, the last written to out
-    with open(out) as f:
-        *reports, last = f.read().splitlines()
-    assert last == "PASS 8/8", last
-    assert all(r["pass"] is True and r["seed"] == 7 for r in map(json.loads, reports)), reports
 
     import kingman
     assert kingman.verify.CRITERIA and not hasattr(kingman, "nope")  # AttributeError only
@@ -470,10 +464,34 @@ COLD_START = textwrap.dedent("""
 """)
 
 
-def test_commands_without_p_values_start_without_scipy(tmp_path):
+def run_cold(script, out):
     # a fresh interpreter: this one has scipy loaded already
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run([sys.executable, "-c", COLD_START, str(tmp_path / "out")],
+    proc = subprocess.run([sys.executable, "-c", script, str(out)],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_commands_without_p_values_start_without_scipy(tmp_path):
+    run_cold(COLD_START, tmp_path / "out")
+
+
+VERIFY_EXACT = textwrap.dedent("""
+    import sys
+    from kingman import cli
+    argv = ["verify", "--suite", "exact", "--seed", "7", "--threads", "1", "--out", sys.argv[1]]
+    assert cli.main(argv) == 0
+    assert "scipy.special" not in sys.modules
+""")
+
+
+def test_verify_exact_suite(tmp_path):
+    # also a cold start, so the exact suite runs once for both checks
+    out = tmp_path / "verify.txt"
+    run_cold(VERIFY_EXACT, out)
+    *reports, last = read(out).strip().splitlines()
+    assert last == "PASS 8/8"
+    for ln in reports:
+        obj = json.loads(ln)
+        assert obj["pass"] is True and obj["seed"] == 7
