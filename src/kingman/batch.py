@@ -42,7 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .indexing import check_interval, floor_pow, window
+from .indexing import check_count, check_interval, floor_pow, window
 from .rng import replicate_key
 
 BLOCK = 512  # draws per replicate taken at once; a multiple of 4, Philox's output block
@@ -426,15 +426,9 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _check_count(name: str, value, least: int, most: float = math.inf) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
-            or not least <= value <= most:
-        raise ValueError(f"{name} must be an integer in [{least}, {most}], got {value!r}")
-
-
 def check_run(seed, threads) -> None:  # plan's checks of both, for callers that plan nothing
-    _check_count("threads", threads, 1)
-    _check_count("seed", seed, 0, 2 ** 64 - 1)
+    check_count("threads", threads, 1)
+    check_count("seed", seed, 0, 2 ** 64 - 1)
 
 
 Task = NamedTuple("Task", [("fn", Callable), ("args", tuple)])  # fn(*args) for run
@@ -448,8 +442,8 @@ def plan(statistic: str, n: int, reps: int, seed: int, *,
          threads: int = 1, stream_id: int = 0, **params) -> list[Task]:
     """The chunk tasks of simulate(...), after every check of its arguments; their count
     is a multiple of the min(threads, chunks, usable CPUs) workers, or reps."""
-    _check_count("sample size n", n, 2)
-    _check_count("reps", reps, 1)
+    check_count("sample size n", n, 2)
+    check_count("reps", reps, 1)
     check_run(seed, threads)
     spec = STATISTICS.get(statistic)
     if spec is None:

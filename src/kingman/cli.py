@@ -15,7 +15,7 @@ from collections.abc import Iterable, Iterator
 import numpy as np
 
 from . import __version__, batch
-from .indexing import floor_pow
+from .indexing import check_count, floor_pow
 from .rng import DEFAULT_SEED
 
 # one value per replicate fits the rep,value CSV; two-column statistics do not
@@ -185,8 +185,7 @@ def _svg_histogram(edges: np.ndarray, counts: np.ndarray, title: str) -> str:
 
 
 def cmd_hist(args) -> int:
-    if args.bins < 2:
-        raise ValueError("need at least 2 bins")
+    check_count("--bins", args.bins, 2)
     chunks = _simulate(args)[1]
 
     def text():  # drawn once _write has opened the output

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import urn
-from .indexing import check_window, floor_pow, window
+from .indexing import check_count, check_window, floor_pow, window
 
 
 @dataclass(frozen=True)
@@ -25,8 +25,7 @@ class CoalescentTimes:
     t: np.ndarray
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("sample size must be at least 2")
+        check_count("sample size n", self.n, 2)
         t = np.asarray(self.t, dtype=float)
         if t.shape != (self.n + 1,):
             raise ValueError(f"times array must have length n+1={self.n + 1}")
@@ -47,8 +46,7 @@ class MergeHistory:
 
     def __post_init__(self):
         n, v = self.n, self.v
-        if n < 2:
-            raise ValueError("sample size must be at least 2")
+        check_count("sample size n", n, 2)
         if len(v) != n + 1:
             raise ValueError("v must have n+1 entries")
         if v[n] != 0 or v[1] != 1:
@@ -67,16 +65,12 @@ class LabeledHistory:
     rho: tuple[int, ...]
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("sample size must be at least 2")
+        check_count("sample size n", self.n, 2)
         if len(self.rho) != self.n:
             raise ValueError("one level per leaf required")
-        counts: dict[int, int] = {}
         for r in self.rho:
-            if not 1 <= r <= self.n - 1:
-                raise ValueError("levels must lie in 1..n-1")
-            counts[r] = counts.get(r, 0) + 1
-        if any(c > 2 for c in counts.values()):
+            check_count("level rho", r, 1, self.n - 1)
+        if np.unique(self.rho, return_counts=True)[1].max() > 2:
             raise ValueError("at most two leaves can merge at one level")
 
     def merge_counts(self) -> tuple[int, ...]:
@@ -95,6 +89,7 @@ class ScaledPointPattern:
     points: np.ndarray
 
     def __post_init__(self):
+        check_count("sample size n", self.n, 2)
         points = np.sort(np.asarray(self.points, dtype=float))
         if points.shape != (self.n,):
             raise ValueError("total multiplicity must equal n")
@@ -111,8 +106,7 @@ def sample_waiting_times(n: int, rng: np.random.Generator) -> CoalescentTimes:
     Exponentials come from inverse-CDF transforms -log(1-u) of one uniform
     each, drawn in descending k order.
     """
-    if n < 2:
-        raise ValueError("sample size must be at least 2")
+    check_count("sample size n", n, 2)
     t = np.empty(n + 1)
     t[0] = np.inf
     t[n] = 0.0
@@ -134,8 +128,6 @@ def sample_labeled_history(n: int, rng: np.random.Generator) -> LabeledHistory:
     when a singleton block merges at the transition to k-1 blocks, its
     leaf's level is k-1.
     """
-    if n < 2:
-        raise ValueError("sample size must be at least 2")
     # blocks[j] = leaf label if the block is still a singleton, else 0
     blocks = list(range(1, n + 1))
     rho = [0] * n
@@ -158,8 +150,7 @@ def sample_labeled_history(n: int, rng: np.random.Generator) -> LabeledHistory:
 def sample_rho_single(n: int, rng: np.random.Generator) -> int:
     """Level at which one tagged leaf merges: walking k = n..2, the
     still-singleton leaf joins a merge with probability 2/k."""
-    if n < 2:
-        raise ValueError("sample size must be at least 2")
+    check_count("sample size n", n, 2)
     for k in range(n, 2, -1):
         if rng.random() < 2.0 / k:
             return k - 1
@@ -219,7 +210,5 @@ def scaled_point_pattern(times: CoalescentTimes, hist: MergeHistory) -> ScaledPo
 
 def single_branch_length(times: CoalescentTimes, rho: int) -> tuple[float, float]:
     """(R_n, R_n') = (T_rho, 2(1/rho - 1/n)) for a leaf merging at level rho."""
-    n = times.n
-    if not 1 <= rho <= n - 1:
-        raise ValueError(f"level rho={rho} outside 1..n-1")
-    return float(times.t[rho]), 2.0 * (1.0 / rho - 1.0 / n)
+    check_count("level rho", rho, 1, times.n - 1)
+    return float(times.t[rho]), 2.0 * (1.0 / rho - 1.0 / times.n)

@@ -1,5 +1,5 @@
-"""Integer level boundaries derived from fractional powers of n, and the
-checks of the windows and intervals the functionals are taken on.
+"""Integer level boundaries derived from fractional powers of n, and the checks
+of the windows, intervals and integer arguments (counts, levels, indices) of kingman.
 
 Window quantities use ceilings of n**alpha, truncated quantities use
 floors.  Powers like 64**(1/3) = 3.9999999999999996 land a hair away from
@@ -10,15 +10,23 @@ nearest integer before rounding.
 from __future__ import annotations
 
 import math
+import numbers
 
 _SNAP = 1e-9
+
+
+def check_count(name: str, value, least: int, most: float = math.inf) -> None:
+    """Refuse anything but an integer in [least, most], a bool or a float included."""
+    # int is an Integral: naming it first spares an int the slower abstract check
+    if type(value) is bool or not isinstance(value, (int, numbers.Integral)) \
+            or not least <= value <= most:
+        raise ValueError(f"{name} must be an integer in [{least}, {most}], got {value!r}")
 
 
 def _snapped_pow(n: int, alpha: float) -> float:
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"a level exponent must lie in [0, 1], got {alpha}")
-    if n < 1:
-        raise ValueError(f"a level boundary needs n >= 1, got {n}")
+    check_count("n", n, 1)
     t = float(n) ** alpha
     r = round(t)
     if abs(t - r) < _SNAP * max(1.0, abs(t)):

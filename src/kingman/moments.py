@@ -13,17 +13,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from .indexing import check_interval, check_window, window
+from .indexing import check_count, check_interval, check_window, window
 
 _harmonic_cache: list[Fraction] = [Fraction(0)]
 
 
 def harmonic(n: int) -> Fraction:
     """n-th harmonic number 1 + 1/2 + ... + 1/n, exactly."""
-    if n < 0:
-        raise ValueError("harmonic index must be nonnegative")
-    while len(_harmonic_cache) <= n:
-        j = len(_harmonic_cache)
+    check_count("harmonic index n", n, 0)
+    for j in range(len(_harmonic_cache), n + 1):
         _harmonic_cache.append(_harmonic_cache[-1] + Fraction(1, j))
     return _harmonic_cache[n]
 
@@ -32,20 +30,17 @@ def harmonic(n: int) -> Fraction:
 
 def e_U(n: int, k: int) -> Fraction:
     """E(U_k) = k(n-k)/(n-1)."""
-    if n < 2:
-        raise ValueError("sample size must be at least 2")
-    if not 0 <= k <= n:
-        raise ValueError(f"index k={k} outside 0..n")
+    check_count("sample size n", n, 2)
+    check_count("index k", k, 0, n)
     return Fraction(k * (n - k), n - 1)
 
 
 def cov_U(n: int, k: int, l: int) -> Fraction:
     """Cov(U_k, U_l) = k(k-1)(n-l)(n-l-1)/((n-1)^2 (n-2)), k <= l wlog."""
-    if n < 3:
-        raise ValueError("undefined for n < 3")
+    check_count("sample size n", n, 3)
+    check_count("index k", k, 0, n)
+    check_count("index l", l, 0, n)
     k, l = min(k, l), max(k, l)
-    if not 0 <= k <= l <= n:
-        raise ValueError("need indices in 0..n")
     return Fraction(k * (k - 1) * (n - l) * (n - l - 1), (n - 1) ** 2 * (n - 2))
 
 
@@ -53,27 +48,26 @@ def cov_U(n: int, k: int, l: int) -> Fraction:
 
 def e_X(n: int, k: int) -> Fraction:
     """E(X_k) = 2k/(n-1)."""
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"level k={k} outside 1..n-1")
+    check_count("sample size n", n, 2)
+    check_count("level k", k, 1, n - 1)
     return Fraction(2 * k, n - 1)
 
 
 def var_X(n: int, k: int) -> Fraction:
     """Var(X_k) = 2k(n-k-1)(n-3)/((n-1)^2 (n-2))."""
-    if n < 3:
-        raise ValueError("undefined for n < 3")
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"level k={k} outside 1..n-1")
+    check_count("sample size n", n, 3)
+    check_count("level k", k, 1, n - 1)
     return Fraction(2 * k * (n - k - 1) * (n - 3), (n - 1) ** 2 * (n - 2))
 
 
 def cov_X(n: int, k: int, l: int) -> Fraction:
     """Cov(X_k, X_l) = -4k(n-l-1)/((n-1)^2 (n-2)), k < l wlog."""
-    if n < 3:
-        raise ValueError("undefined for n < 3")
+    check_count("sample size n", n, 3)
+    check_count("level k", k, 1, n - 1)
+    check_count("level l", l, 1, n - 1)
+    if k == l:
+        raise ValueError(f"need distinct levels, got k = l = {k}")
     k, l = min(k, l), max(k, l)
-    if not 1 <= k < l <= n - 1:
-        raise ValueError("need distinct levels in 1..n-1")
     return Fraction(-4 * k * (n - l - 1), (n - 1) ** 2 * (n - 2))
 
 
@@ -81,15 +75,15 @@ def cov_X(n: int, k: int, l: int) -> Fraction:
 
 def e_T(n: int, k: int) -> Fraction:
     """E(T_k) = 2(1/k - 1/n)."""
-    if not 1 <= k <= n:
-        raise ValueError(f"level k={k} outside 1..n")
+    check_count("sample size n", n, 1)
+    check_count("level k", k, 1, n)
     return 2 * (Fraction(1, k) - Fraction(1, n))
 
 
 def var_T(n: int, k: int) -> Fraction:
     """Var(T_k) = 4 sum_{j=k+1..n} 1/((j-1)^2 j^2), the exact finite sum."""
-    if not 1 <= k <= n:
-        raise ValueError(f"level k={k} outside 1..n")
+    check_count("sample size n", n, 1)
+    check_count("level k", k, 1, n)
     return 4 * sum((Fraction(1, (j - 1) ** 2 * j ** 2) for j in range(k + 1, n + 1)), Fraction(0))
 
 
@@ -97,16 +91,14 @@ def var_T(n: int, k: int) -> Fraction:
 
 def e_L_window(n: int, alpha: float, beta: float) -> Fraction:
     """Exact window mean 2/(n(n-1)) (cb - ca)(2n+1 - cb - ca), ceilings."""
-    if n < 2:
-        raise ValueError("sample size must be at least 2")
+    check_count("sample size n", n, 2)
     ca, cb = window(n, alpha, beta)
     return Fraction(2 * (cb - ca) * (2 * n + 1 - cb - ca), n * (n - 1))
 
 
 def var_L_window_asymptotic(n: int, alpha: float, beta: float) -> float:
     """Asymptotic window variance 8(beta-alpha) ln(n)/n (not exact)."""
-    if n < 2:
-        raise ValueError("sample size must be at least 2")
+    check_count("sample size n", n, 2)
     check_window(alpha, beta)
     return 8.0 * (beta - alpha) * math.log(n) / n
 
@@ -119,8 +111,7 @@ def cov_L_windows(n: int, w1: tuple[float, float], w2: tuple[float, float]) -> f
     E(T_k)E(T_l) Cov(X_k,X_l), with Cov(T_k,T_l) = Var(T_max(k,l)).
     Quadratic time in the window widths, linear memory.
     """
-    if n < 3:
-        raise ValueError("undefined for n < 3")
+    check_count("sample size n", n, 3)
     ks, ls = np.arange(*window(n, *w1)), np.arange(*window(n, *w2))
     # Var(T_k) = 4 sum_{j=k+1..n} 1/((j-1)^2 j^2), summed from the small end
     j = np.arange(n, 1, -1, dtype=float)
@@ -150,22 +141,21 @@ def var_L_window_exact(n: int, alpha: float, beta: float) -> float:
 
 def fu_li_var(n: int) -> Fraction:
     """Var(L_n) = (8n h_n - 16n + 8)/((n-1)(n-2))."""
-    if n < 3:
-        raise ValueError("undefined for n < 3")
+    check_count("sample size n", n, 3)
     return Fraction(8 * n) * harmonic(n) / ((n - 1) * (n - 2)) + Fraction(8 - 16 * n, (n - 1) * (n - 2))
 
 
 def e_hat(n: int, m: int) -> Fraction:
     """Mean of the length truncated below level m: 2(n-m)/(n-1)."""
-    if n < 2 or not 1 <= m <= n:
-        raise ValueError("need n >= 2 and 1 <= m <= n")
+    check_count("sample size n", n, 2)
+    check_count("level m", m, 1, n)
     return Fraction(2 * (n - m), n - 1)
 
 
 def var_hat(n: int, m: int) -> Fraction:
     """Variance of the truncated length, exact for every n >= 3."""
-    if n < 3 or not 1 <= m <= n:
-        raise ValueError("need n >= 3 and 1 <= m <= n")
+    check_count("sample size n", n, 3)
+    check_count("level m", m, 1, n)
     term1 = 8 * (harmonic(n - 1) - harmonic(m - 1)) * Fraction(n + 2 * m - 2, (n - 1) * (n - 2))
     term2 = Fraction(4 * (n - m) * (4 * n + m - 5), (n - 1) ** 2 * (n - 2))
     return term1 - term2
@@ -173,28 +163,27 @@ def var_hat(n: int, m: int) -> Fraction:
 
 def rho_cdf(n: int, k: int) -> Fraction:
     """P(rho < k) = k(k-1)/(n(n-1)): law of a random leaf's merge level."""
-    if n < 2:
-        raise ValueError("sample size must be at least 2")
-    if not 1 <= k <= n:
-        raise ValueError(f"level k={k} outside 1..n")
+    check_count("sample size n", n, 2)
+    check_count("level k", k, 1, n)
     return Fraction(k * (k - 1), n * (n - 1))
 
 
 # ------------------------------------------------------ scaled point counts
 
-def _block_count_factorial_moment(n: int, t: float) -> float:
-    """E(N_t (N_t - 1)) for the block-counting process started at n blocks.
+def _block_count_factorial_moment(n: int, t) -> np.ndarray:
+    """E(N_t (N_t - 1)) for the block-counting process from n blocks; t a float or an array.
 
     From Tavare's (1984) law of N_t, summed in the all-positive form
     sum_{i=2..n} exp(-i(i-1)t/2) (2i-1) i(i-1) prod_{q<i} (n-q)/(n+q),
     so no cancellation occurs at large n.
     """
-    # terms past i(i-1)t/2 ~ 750 underflow to zero; skip them
-    top = min(n, int(math.sqrt(1500.0 / t)) + 2)
+    # terms past i(i-1)t/2 ~ 750 underflow to zero at the least t, and so at every t
+    top = min(n, int(math.sqrt(1500.0 / np.min(t))) + 2)
     i = np.arange(2, top + 1, dtype=float)
     q = np.arange(top, dtype=float)
     ratio = np.cumprod((n - q) / (n + q))[1:]
-    return float(np.sum(np.exp(-i * (i - 1) * t / 2.0) * (2 * i - 1) * i * (i - 1) * ratio))
+    terms = np.exp(np.multiply.outer(t, -i * (i - 1)) / 2.0) * (2 * i - 1) * i * (i - 1) * ratio
+    return np.sum(terms, axis=-1)
 
 
 def e_eta_count(n: int, a: float, b: float = math.inf) -> float:
@@ -204,12 +193,11 @@ def e_eta_count(n: int, a: float, b: float = math.inf) -> float:
     which sums to (M(a/sqrt(n)) - M(b/sqrt(n)))/(n-1), M(t) = E(N_t(N_t-1)).
     Tends to poisson_mean(a, b) as n grows.
     """
-    if n < 2:
-        raise ValueError("sample size must be at least 2")
+    check_count("sample size n", n, 2)
     check_interval(a, b)
     root = math.sqrt(n)
-    return (_block_count_factorial_moment(n, a / root)
-            - _block_count_factorial_moment(n, b / root)) / (n - 1)
+    return float(_block_count_factorial_moment(n, a / root)
+                 - _block_count_factorial_moment(n, b / root)) / (n - 1)
 
 
 # ------------------------------------------------------------- limit laws

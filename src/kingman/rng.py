@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .indexing import check_count
+
 _MASK64 = (1 << 64) - 1
 _MAX_REPLICATE = 1 << 48
 _MAX_STREAM = 1 << 16
@@ -20,10 +22,8 @@ DEFAULT_SEED = 7  # kingman verify's master seed
 
 def replicate_key(seed: int, replicate: int, stream_id: int) -> list[int]:
     """The Philox key of one replicate, as two 64-bit words."""
-    if not 0 <= replicate < _MAX_REPLICATE:
-        raise ValueError("replicate index out of range")
-    if not 0 <= stream_id < _MAX_STREAM:
-        raise ValueError("stream id out of range")
+    check_count("replicate index", replicate, 0, _MAX_REPLICATE - 1)
+    check_count("stream id", stream_id, 0, _MAX_STREAM - 1)
     return [seed & _MASK64, (stream_id << 48) | replicate]
 
 

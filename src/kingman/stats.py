@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .indexing import check_count
+
 P_FLOOR = 0.001
 MEAN_Z_MAX = 4.0
 MIN_EXPECTED_CELL = 5.0
@@ -68,8 +70,7 @@ def ks_test(values: np.ndarray, cdf: Callable[[float], float], *,
     from scipy.special import kolmogorov
 
     reps = len(values)
-    if reps < 100:
-        raise ValueError("KS test requires at least 100 replicates")
+    check_count("KS test replicates", reps, 100)
     d = ks_statistic(values, cdf)
     p = float(kolmogorov(math.sqrt(reps) * d))
     return TestReport(name, dict(params or {}), d, p, P_FLOOR, p >= P_FLOOR, seed, reps)
@@ -129,8 +130,7 @@ def mean_test(values: np.ndarray, exact_mean, var, *,
               name: str, seed: int, params: dict | None = None) -> TestReport:
     """Four-standard-error gate on the sample mean, the standard error from var."""
     reps = len(values)
-    if reps < 1000:
-        raise ValueError("mean test requires at least 1000 replicates")
+    check_count("mean test replicates", reps, 1000)
     mu = float(np.mean(values))
     se = math.sqrt(float(var) / reps)
     if se == 0.0:
@@ -144,8 +144,7 @@ def mean_test(values: np.ndarray, exact_mean, var, *,
 def variance_test(values: np.ndarray, exact_var, rel_tol: float, *,
                   name: str, seed: int, params: dict | None = None) -> TestReport:
     """Relative-tolerance gate on the sample variance."""
-    if len(values) < 10_000:
-        raise ValueError("variance test requires at least 10^4 replicates")
+    check_count("variance test replicates", len(values), 10_000)
     v = float(np.var(values, ddof=1))
     target = float(exact_var)
     rel = abs(v - target) / target

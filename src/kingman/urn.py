@@ -10,12 +10,14 @@ exact finite-n laws computed in rational arithmetic.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, prod
 
 import numpy as np
+
+from .indexing import check_count
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -30,8 +32,7 @@ class UrnPath:
 
     def __post_init__(self):
         n, u = self.n, self.u
-        if n < 2:
-            raise ValueError("sample size must be at least 2")
+        check_count("sample size n", n, 2)
         if len(u) != n + 1:
             raise ValueError(f"path must have {n + 1} entries, got {len(u)}")
         if u[0] != 0 or u[n] != 0 or u[1] != 1 or u[n - 1] != 1:
@@ -93,13 +94,10 @@ def transition_probabilities(n: int, k: int, u: int) -> tuple[Fraction, Fraction
     Valid for 0 <= k <= n-2; the final step k = n-1 is the deterministic
     removal of the last ball.
     """
-    if n < 2:
-        raise ValueError("sample size must be at least 2")
-    if not 0 <= k <= n - 2:
-        raise ValueError(f"transition step k={k} outside 0..n-2")
+    check_count("sample size n", n, 2)
+    check_count("step k", k, 0, n - 2)
     balls = n - k
-    if not 0 <= u <= balls:
-        raise ValueError(f"state u={u} impossible with {balls} balls")
+    check_count("state u", u, 0, balls)
     denom = comb(balls, 2)
     down = Fraction(comb(u, 2), denom)
     stay = Fraction(u * (balls - u), denom)
@@ -138,8 +136,6 @@ def _float_thresholds(n: int, k: int, u):
 
 def sample_urn_path(n: int, rng: np.random.Generator) -> UrnPath:
     """Draw one chain trajectory; consumes one uniform per step k=0..n-2."""
-    if n < 2:
-        raise ValueError("sample size must be at least 2")
     u = 0
     path = [0]
     for k in range(n - 1):
@@ -162,8 +158,6 @@ def sample_box_scheme(n: int, rng: np.random.Generator) -> UrnPath:
     turns red); U'_k is the red count in A just after the k-th move.  The
     returned path (0, U'_1+1, ..., U'_(n-1)+1, 0) has the chain's law.
     """
-    if n < 2:
-        raise ValueError("sample size must be at least 2")
     black_a, red_a = n - 1, 0
     black_b, red_b = 0, 0
     path = [0]
@@ -191,8 +185,7 @@ def sample_box_scheme(n: int, rng: np.random.Generator) -> UrnPath:
 
 def sample_permutation_pair(n: int, rng: np.random.Generator) -> PermutationPair:
     """Two independent uniform permutations of 1..n-1 via Fisher-Yates."""
-    if n < 2:
-        raise ValueError("sample size must be at least 2")
+    check_count("sample size n", n, 2)
 
     def shuffle() -> tuple[int, ...]:
         a = list(range(1, n))
@@ -220,8 +213,7 @@ MAX_PATH_ENUM_N = 9
 
 def exact_path_law(n: int) -> ExactLaw:
     """Law over whole paths by exact enumeration of the transition products."""
-    if not 2 <= n <= MAX_PATH_ENUM_N:
-        raise ValueError(f"exact path enumeration limited to n <= {MAX_PATH_ENUM_N}")
+    check_count("sample size n", n, 2, MAX_PATH_ENUM_N)
     frontier: dict[tuple[int, ...], Fraction] = {(0,): ONE}
     for k in range(n):
         frontier = {prefix + (v,): p * q for prefix, p in frontier.items()
@@ -264,8 +256,7 @@ MAX_BOX_ENUM_N = 5
 
 def box_scheme_exact_law(n: int) -> ExactLaw:
     """Path law of sample_box_scheme, by enumerating every move and recolor it can draw."""
-    if not 2 <= n <= MAX_BOX_ENUM_N:
-        raise ValueError(f"box scheme enumeration limited to n <= {MAX_BOX_ENUM_N}")
+    check_count("sample size n", n, 2, MAX_BOX_ENUM_N)
     return enumerated_law(lambda rng: sample_box_scheme(n, rng).u)
 
 
@@ -274,8 +265,7 @@ MAX_PERM_ENUM_N = 6
 
 def permutation_exact_law(n: int) -> ExactLaw:
     """Path law induced by all ((n-1)!)^2 permutation pairs, exactly."""
-    if not 2 <= n <= MAX_PERM_ENUM_N:
-        raise ValueError(f"permutation enumeration limited to n <= {MAX_PERM_ENUM_N}")
+    check_count("sample size n", n, 2, MAX_PERM_ENUM_N)
     m = n - 1
     weight = Fraction(1, factorial(m) ** 2)
     laws: dict[tuple[int, ...], Fraction] = {}
@@ -289,10 +279,8 @@ def permutation_exact_law(n: int) -> ExactLaw:
 
 def exact_marginal(n: int, k: int) -> ExactLaw:
     """Law of U_k by forward dynamic programming in rationals."""
-    if n < 2:
-        raise ValueError("sample size must be at least 2")
-    if not 0 <= k <= n:
-        raise ValueError(f"step k={k} outside 0..n")
+    check_count("sample size n", n, 2)
+    check_count("step k", k, 0, n)
     dist: dict[int, Fraction] = {0: ONE}
     for step in range(k):
         dist = step_law(n, step, dist)
@@ -301,8 +289,8 @@ def exact_marginal(n: int, k: int) -> ExactLaw:
 
 def exact_joint_marginal(n: int, k: int, l: int) -> dict[tuple[int, int], Fraction]:
     """Exact joint law of (U_k, U_l) for k <= l via two-stage DP."""
-    if not 0 <= k <= l <= n:
-        raise ValueError("need 0 <= k <= l <= n")
+    check_count("step k", k, 0, n)
+    check_count("step l", l, k, n)
     joint: dict[tuple[int, int], Fraction] = {}
     for a, pa in exact_marginal(n, k).items():
         dist = {a: ONE}
@@ -315,10 +303,9 @@ def exact_joint_marginal(n: int, k: int, l: int) -> dict[tuple[int, int], Fracti
 
 def hypergeometric_pmf(n: int, k: int, r: int) -> Fraction:
     """P(U_k - 1 = r): hypergeometric with parameters n-1, k-1, n-k-1."""
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"level k={k} outside 1..n-1")
-    if r < 0:
-        raise ValueError("count r must be nonnegative")
+    check_count("sample size n", n, 2)
+    check_count("level k", k, 1, n - 1)
+    check_count("count r", r, 0)
     num = comb(k - 1, r) * comb(n - k, n - k - 1 - r) if n - k - 1 - r >= 0 else 0
     return Fraction(num, comb(n - 1, n - k - 1))
 
@@ -333,10 +320,8 @@ def tau(p: UrnPath) -> int:
 
 def tau_exact_tail(n: int, k: int) -> Fraction:
     """P(tau_n >= k) = (n-k)...(n-2k+1) / ((n-1)...(n-k))."""
-    if n < 2:
-        raise ValueError("sample size must be at least 2")
-    if k < 1:
-        raise ValueError("tail index k must be >= 1")
+    check_count("sample size n", n, 2)
+    check_count("tail index k", k, 1)
     if n - 2 * k + 1 < 1:
         return ZERO
     return Fraction(prod(range(n - 2 * k + 1, n - k + 1)), prod(range(n - k, n)))
@@ -344,9 +329,6 @@ def tau_exact_tail(n: int, k: int) -> Fraction:
 
 def tau_exact_law(n: int) -> ExactLaw:
     """Law of tau_n from the exact tail formula."""
-    probs: dict[int, Fraction] = {}
-    for k in range(1, n // 2 + 1):
-        p = tau_exact_tail(n, k) - tau_exact_tail(n, k + 1)
-        if p != 0:
-            probs[k] = p
-    return ExactLaw(probs)
+    check_count("sample size n", n, 2)
+    return ExactLaw({k: tau_exact_tail(n, k) - tau_exact_tail(n, k + 1)
+                     for k in range(1, n // 2 + 1)})

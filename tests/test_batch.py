@@ -639,7 +639,7 @@ def test_uniform_rows_reject_replicates_past_the_key_range(monkeypatch):
     for stream_id in (0, 5):
         replicate_key(SEED, 2 ** 48 - 1, stream_id)  # the last replicate has a key
         for statistic in ("rho", "L"):
-            with pytest.raises(ValueError, match="replicate index out of range"):
+            with pytest.raises(ValueError, match="replicate index must be an integer in"):
                 batch.plan(statistic, 10, 2 ** 48 + 1, SEED, stream_id=stream_id)
 
 

@@ -4,7 +4,6 @@ import contextlib
 import inspect
 import io
 import json
-import math
 import os
 import subprocess
 import sys

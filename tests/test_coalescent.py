@@ -44,7 +44,7 @@ def test_history_from_urn_path():
 
 def test_merge_history_refuses_a_malformed_v():
     assert coalescent.MergeHistory(4, (0, 1, 2, 1, 0)).x == (0, 2, 2)
-    for n, v, why in ((1, (0, 0), "at least 2"),
+    for n, v, why in ((1, (0, 0), "sample size n must be an integer in"),
                       (3, (0, 1, 0), "n\\+1 entries"), (3, (0, 1, 1, 0, 0), "n\\+1 entries"),
                       (3, (0, 1, 1, 1), "V_n = 0"),  # V_n = 1
                       (3, (0, 2, 1, 0), "V_1 = 1"),  # V_1 = 2, though X = (2, 2)
