@@ -386,9 +386,10 @@ def _eta_count(n: int, chunk: tuple, a: float, b: float) -> np.ndarray:
 
 
 def _check_steps(n: int, steps) -> None:
-    s = np.asarray(steps)
-    if s.ndim != 1 or s.size == 0 or s.dtype.kind not in "iu" or s.min() < 0 or s.max() > n:
-        raise ValueError(f"step indices must be integers in 0..{n}, got {steps!r}")
+    if np.ndim(steps) != 1 or len(steps) == 0:
+        raise ValueError(f"steps must be a nonempty sequence, got {steps!r}")
+    for k in steps:
+        check_count("step k", k, 0, n)
 
 
 STATISTICS: dict[str, Statistic] = {
@@ -401,7 +402,7 @@ STATISTICS: dict[str, Statistic] = {
                      .astype(float)),
     "R": Statistic(_r),
     "urn_marginal": Statistic(lambda n, chunk, k: _snapshot(n, chunk, [k])[:, 0], ("k",),
-                              lambda n, k: _check_steps(n, [k])),
+                              lambda n, k: check_count("step k", k, 0, n)),
     "eta_count": Statistic(_eta_count, ("a", "b"), lambda n, a, b: check_interval(a, b)),
     # its row of values, twice: simulate concatenates the chunks' rows
     "urn_snapshot": Statistic(_snapshot, ("steps",), _check_steps, two_d=True,

@@ -24,12 +24,13 @@ from .rng import DEFAULT_SEED
 _S_TOTAL, _S_HAT, _S_ETA, _S_T4, _S_TAU, _S_R, _S_GP, _S_IND = range(1, 9)
 
 
-def _exact_report(name: str, n_max: int, seed: int, pairs) -> stats.TestReport:
-    """One check per (got, want) pair of n <= n_max, and one violation per unequal pair."""
+def _exact_report(name: str, n_max: int, seed: int, pairs, n_min: int = 2) -> stats.TestReport:
+    """One check per (got, want) pair of pairs(n), n = n_min..n_max in turn; unequal ones fail."""
     checks = violations = 0
-    for got, want in pairs:
-        checks += 1
-        violations += got != want
+    for n in range(n_min, n_max + 1):
+        for got, want in pairs(n):
+            checks += 1
+            violations += got != want
     return stats.TestReport(name, {"n_max": n_max, "checks": checks}, float(violations),
                             float(violations), 0.0, violations == 0, seed, 0)
 
@@ -44,64 +45,54 @@ def _same_law(a, b):
 
 def check_reversibility(seed: int = DEFAULT_SEED) -> stats.TestReport:
     """Path law invariant under time reversal for every n up to 9."""
-    def pairs():
-        for n in range(2, urn.MAX_PATH_ENUM_N + 1):
-            law = urn.exact_path_law(n)
-            yield from _same_law(law, {tuple(reversed(path)): p for path, p in law.items()})
-    return _exact_report("reversibility_exact", urn.MAX_PATH_ENUM_N, seed, pairs())
+    def pairs(n):
+        law = urn.exact_path_law(n)
+        return _same_law(law, {tuple(reversed(path)): p for path, p in law.items()})
+    return _exact_report("reversibility_exact", urn.MAX_PATH_ENUM_N, seed, pairs)
 
 
 def check_chain_moments(seed: int = DEFAULT_SEED) -> stats.TestReport:
     """DP means and covariances equal the closed forms for n <= 12."""
-    def pairs():
-        for n in range(2, 13):
-            for k in range(n + 1):
-                yield urn.exact_marginal(n, k).mean(), moments.e_U(n, k)
-            if n < 3:
-                continue
-            for k in range(n + 1):
-                for l in range(k, n + 1):
-                    joint = urn.exact_joint_marginal(n, k, l)
-                    e_kl = sum((Fraction(a * b) * p for (a, b), p in joint.items()), Fraction(0))
-                    yield e_kl - moments.e_U(n, k) * moments.e_U(n, l), moments.cov_U(n, k, l)
-    return _exact_report("chain_moments_exact", 12, seed, pairs())
+    def pairs(n):
+        for k in range(n + 1):
+            yield urn.exact_marginal(n, k).mean(), moments.e_U(n, k)
+        if n < 3:
+            return
+        for k in range(n + 1):
+            for l in range(k, n + 1):
+                joint = urn.exact_joint_marginal(n, k, l)
+                e_kl = sum((Fraction(a * b) * p for (a, b), p in joint.items()), Fraction(0))
+                yield e_kl - moments.e_U(n, k) * moments.e_U(n, l), moments.cov_U(n, k, l)
+    return _exact_report("chain_moments_exact", 12, seed, pairs)
 
 
 def check_hypergeometric(seed: int = DEFAULT_SEED) -> stats.TestReport:
     """Forward-DP marginals equal the shifted hypergeometric for n <= 50."""
-    def pairs():
-        for n in range(2, 51):
-            dist = {0: Fraction(1)}
-            for k in range(1, n):
-                dist = urn.step_law(n, k - 1, dist)
-                yield from _same_law(dist, {u: urn.hypergeometric_pmf(n, k, u - 1)
-                                            for u in range(1, min(k, n - k) + 1)})
-    return _exact_report("hypergeometric_marginal_exact", 50, seed, pairs())
-
-
-def _chain_law_report(name: str, path_law, n_max: int, seed: int) -> stats.TestReport:
-    """Compare an enumerated path law with the chain's path law for n <= n_max."""
-    return _exact_report(name, n_max, seed, (
-        pair for n in range(2, n_max + 1)
-        for pair in _same_law(path_law(n), urn.exact_path_law(n))))
+    def pairs(n):
+        dist = {0: Fraction(1)}
+        for k in range(1, n):
+            dist = urn.step_law(n, k - 1, dist)
+            yield from _same_law(dist, {u: urn.hypergeometric_pmf(n, k, u - 1)
+                                        for u in range(1, min(k, n - k) + 1)})
+    return _exact_report("hypergeometric_marginal_exact", 50, seed, pairs)
 
 
 def check_permutation_representation(seed: int = DEFAULT_SEED) -> stats.TestReport:
     """All ((n-1)!)^2 permutation pairs reproduce the path law, n <= 6."""
-    return _chain_law_report("permutation_representation_exact", urn.permutation_exact_law,
-                             urn.MAX_PERM_ENUM_N, seed)
+    return _exact_report("permutation_representation_exact", urn.MAX_PERM_ENUM_N, seed,
+                         lambda n: _same_law(urn.permutation_exact_law(n), urn.exact_path_law(n)))
 
 
 def check_box_scheme(seed: int = DEFAULT_SEED) -> stats.TestReport:
     """The box-scheme sampler's enumerated law equals the chain law for n <= 5."""
-    return _chain_law_report("box_scheme_exact", urn.box_scheme_exact_law,
-                             urn.MAX_BOX_ENUM_N, seed)
+    return _exact_report("box_scheme_exact", urn.MAX_BOX_ENUM_N, seed,
+                         lambda n: _same_law(urn.box_scheme_exact_law(n), urn.exact_path_law(n)))
 
 
 def check_variance_identity(seed: int = DEFAULT_SEED) -> stats.TestReport:
     """Truncated-length variance at m=1 recovers the total-length variance, n <= 10^4."""
-    return _exact_report("variance_identity_exact", 10_000, seed, (
-        (moments.var_hat(n, 1), moments.fu_li_var(n)) for n in range(3, 10_001)))
+    return _exact_report("variance_identity_exact", 10_000, seed,
+                         lambda n: [(moments.var_hat(n, 1), moments.fu_li_var(n))], n_min=3)
 
 
 def check_martingale_identity(seed: int = DEFAULT_SEED) -> stats.TestReport:
@@ -111,32 +102,30 @@ def check_martingale_identity(seed: int = DEFAULT_SEED) -> stats.TestReport:
     integers; a probability whose denominator does not divide D gives None,
     a violation.
     """
-    def pairs():
-        for n in range(2, 101):
-            for k in range(n - 1):
-                balls = n - k
-                whole = math.comb(balls, 2)
-                for u in (0,) if k == 0 else range(1, min(k, balls) + 1):
-                    probs = urn.transition_probabilities(n, k, u)
-                    want = whole * ((balls - 2) * u + balls)
-                    if any(whole % p.denominator for p in probs):
-                        yield None, want
-                        continue
-                    down, stay, up = (p.numerator * (whole // p.denominator) for p in probs)
-                    yield balls * (down * (u - 1) + stay * u + up * (u + 1)), want
-    return _exact_report("martingale_identity_exact", 100, seed, pairs())
+    def pairs(n):
+        for k in range(n - 1):
+            balls = n - k
+            whole = math.comb(balls, 2)
+            for u in (0,) if k == 0 else range(1, min(k, balls) + 1):
+                probs = urn.transition_probabilities(n, k, u)
+                want = whole * ((balls - 2) * u + balls)
+                if any(whole % p.denominator for p in probs):
+                    yield None, want
+                    continue
+                down, stay, up = (p.numerator * (whole // p.denominator) for p in probs)
+                yield balls * (down * (u - 1) + stay * u + up * (u + 1)), want
+    return _exact_report("martingale_identity_exact", 100, seed, pairs)
 
 
 def check_tau_tail(seed: int = DEFAULT_SEED) -> stats.TestReport:
     """Product-formula tail equals the enumeration tail for n <= 9."""
-    def pairs():
-        for n in range(2, urn.MAX_PATH_ENUM_N + 1):
-            law = urn.exact_path_law(n)
-            taus = {path: urn.tau(urn.UrnPath(n, path)) for path in law}
-            for k in range(1, n + 1):
-                yield (sum((p for path, p in law.items() if taus[path] >= k), Fraction(0)),
-                       urn.tau_exact_tail(n, k))
-    return _exact_report("tau_tail_exact", urn.MAX_PATH_ENUM_N, seed, pairs())
+    def pairs(n):
+        law = urn.exact_path_law(n)
+        taus = {path: urn.tau(urn.UrnPath(n, path)) for path in law}
+        for k in range(1, n + 1):
+            yield (sum((p for path, p in law.items() if taus[path] >= k), Fraction(0)),
+                   urn.tau_exact_tail(n, k))
+    return _exact_report("tau_tail_exact", urn.MAX_PATH_ENUM_N, seed, pairs)
 
 
 # ------------------------------------------------------- statistical suite

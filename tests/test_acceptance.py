@@ -359,3 +359,40 @@ def test_run_suite_checks_first_and_runs_as_read(monkeypatch):
     rest = list(reports)
     assert all(isinstance(r, stats.TestReport) and r.seed == SEED for r in [first] + rest)
     assert sorted(ran) == sorted(names) and [r.name for r in [first] + rest] == ran
+
+
+def test_exact_report_walks_each_n_once_in_order():
+    calls = []
+
+    def pairs(n):
+        calls.append(n)
+        yield n, n
+        yield n, n + (n == 5)  # the one unequal pair
+
+    report = verify._exact_report("walk", 7, SEED, pairs, n_min=3)
+    assert calls == [3, 4, 5, 6, 7]
+    assert report.params == {"n_max": 7, "checks": 10}
+    assert (report.statistic, report.passed, report.seed) == (1.0, False, SEED)
+    calls.clear()
+    report = verify._exact_report("walk", 4, SEED, pairs)
+    assert calls == [2, 3, 4]
+    assert (report.params, report.statistic, report.passed) == ({"n_max": 4, "checks": 6},
+                                                                0.0, True)
+
+
+def test_each_exact_check_leaves_its_n_range_to_exact_report(monkeypatch):
+    walks = {}  # name -> (n_min, n_max) of each check's one walk
+
+    def recording(name, n_max, seed, pairs, n_min=2):
+        assert name not in walks and callable(pairs)
+        walks[name] = (n_min, n_max)
+        return stats.TestReport(name, {}, 0.0, 0.0, 0.0, True, seed, 0)
+
+    monkeypatch.setattr(verify, "_exact_report", recording)
+    for check in [value for name, value in vars(verify).items() if name.startswith("check_")]:
+        check(SEED)
+    assert walks == {"reversibility_exact": (2, 9), "chain_moments_exact": (2, 12),
+                     "hypergeometric_marginal_exact": (2, 50),
+                     "permutation_representation_exact": (2, 6), "box_scheme_exact": (2, 5),
+                     "variance_identity_exact": (3, 10_000),
+                     "martingale_identity_exact": (2, 100), "tau_tail_exact": (2, 9)}

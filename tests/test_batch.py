@@ -766,6 +766,19 @@ BAD_INPUTS = [
 ]
 
 
+def test_steps_are_refused_by_check_count(monkeypatch):
+    monkeypatch.setattr(batch, "_uniform_rows", _no_draws)
+    cases = [("urn_marginal", {"k": k}, k) for k in (99, -1, True, 2.0)]
+    cases += [("urn_snapshot", {"steps": [s]}, s) for s in (11, -1, True)]
+    for statistic, params, step in cases:
+        with pytest.raises(ValueError) as refused:
+            batch.simulate(statistic, 10, 10, SEED, **params)
+        assert str(refused.value) == f"step k must be an integer in [0, 10], got {step!r}"
+    for steps in ([], 5, (s for s in [1]), [[1]]):  # not a nonempty sequence of steps
+        with pytest.raises(ValueError, match="steps must be a nonempty sequence"):
+            batch.simulate("urn_snapshot", 10, 10, SEED, steps=steps)
+
+
 def test_input_validation(monkeypatch):
     monkeypatch.setattr(batch, "_uniform_rows", _no_draws)
     for args, params in BAD_INPUTS:

@@ -152,28 +152,27 @@ def test_reverse_path_and_tau_duality():
         assert urn.tau(r) == tau_first_hit(p)
 
 
-def local_balance_pairs(n_max):
-    """(pi_i(u) p_i(u, v), pi_(i+1)(v) p_(n-1-i)(v, u)) for every n <= n_max, step i and
-    pair (u, v) on which either side is nonzero, with pi_i the law of U_i by step_law.
+def local_balance_pairs(n):
+    """(pi_i(u) p_i(u, v), pi_(i+1)(v) p_(n-1-i)(v, u)) for every step i and pair (u, v)
+    on which either side is nonzero, with pi_i the law of U_i by step_law.
 
     Both the chain and its reversal start at 0, so (U_0..U_n) and (U_n..U_0) are
     equal in law if and only if every pair is equal: the theorem from the
     transitions alone, without enumerating paths.
     """
-    for n in range(2, n_max + 1):
-        laws = [{0: Fraction(1)}]
-        for i in range(n):
-            laws.append(urn.step_law(n, i, laws[-1]))
-        for i in range(n):
-            forward = {(u, v): (p, q) for u, p in laws[i].items()
-                       for v, q in urn.successors(n, i, u)}
-            backward = {(u, v): (p, q) for v, p in laws[i + 1].items()
-                        for u, q in urn.successors(n, n - 1 - i, v)}
-            for key in forward.keys() | backward.keys():
-                (p, q), (r, s) = forward.get(key, (0, 1)), backward.get(key, (0, 1))
-                # p q = r s cross-multiplied: as exact, and cheaper than Fraction products
-                yield (p.numerator * q.numerator * r.denominator * s.denominator,
-                       r.numerator * s.numerator * p.denominator * q.denominator)
+    laws = [{0: Fraction(1)}]
+    for i in range(n):
+        laws.append(urn.step_law(n, i, laws[-1]))
+    for i in range(n):
+        forward = {(u, v): (p, q) for u, p in laws[i].items()
+                   for v, q in urn.successors(n, i, u)}
+        backward = {(u, v): (p, q) for v, p in laws[i + 1].items()
+                    for u, q in urn.successors(n, n - 1 - i, v)}
+        for key in forward.keys() | backward.keys():
+            (p, q), (r, s) = forward.get(key, (0, 1)), backward.get(key, (0, 1))
+            # p q = r s cross-multiplied: as exact, and cheaper than Fraction products
+            yield (p.numerator * q.numerator * r.denominator * s.denominator,
+                   r.numerator * s.numerator * p.denominator * q.denominator)
 
 
 LOCAL_BALANCE_PAIRS = 241_523  # at n <= 100
@@ -181,7 +180,7 @@ LOCAL_BALANCE_PAIRS = 241_523  # at n <= 100
 
 def test_reversal_by_local_balance():
     # every n to 100, where check_reversibility's path enumeration stops at n = 9
-    report = verify._exact_report("local_balance", 100, 0, local_balance_pairs(100))
+    report = verify._exact_report("local_balance", 100, 0, local_balance_pairs)
     assert (report.params["checks"], report.statistic) == (LOCAL_BALANCE_PAIRS, 0), report
 
 
