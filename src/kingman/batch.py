@@ -20,13 +20,14 @@ family (L, L_window, L_hat, window_pair) reduces the tiles and the waiting
 times into one row of terms per replicate, a level each (see _levels).
 
 Every statistic is one Statistic record in STATISTICS: how a chunk draws
-and reduces its replicates, its keywords and their check, and the bytes of
-the rows one replicate holds that grow with n or the keywords.  A chunk
-holds MAX_WIDTH replicates, fewer where the L family's or urn_snapshot's
-rows would pass BUDGET (see _bytes).
+and reduces its replicates, its keywords and the levels plan resolves them
+to, and the bytes of the rows one replicate holds that grow with n or the
+levels.  A chunk holds MAX_WIDTH replicates, fewer where the L family's or
+urn_snapshot's rows would pass BUDGET (see _bytes).
 
-simulate is plan, run, concatenate: plan checks the arguments and cuts the
-replicates into chunk tasks, and run yields the results of any list of tasks
+simulate is plan, run, concatenate: plan checks the arguments, turns the
+keywords into levels and cuts the replicates into chunk tasks that carry
+them, so no chunk checks again, and run yields the results of any list of tasks
 (verify adds its exact checks) in task order as they are ready, from one pool
 of forked processes.  A chunk kernel is many small numpy steps that hold the
 interpreter lock: threads would take turns.
@@ -42,7 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .indexing import check_count, check_interval, floor_pow, window
+from .indexing import check_count, check_interval, cuts, window
 from .rng import replicate_key
 
 BLOCK = 512  # draws per replicate taken at once; a multiple of 4, Philox's output block
@@ -182,7 +183,7 @@ def _urn_paths(n: int, chunk: tuple, horizon: int, take: Callable[[int, np.ndarr
         del w  # before the next block is drawn
 
 
-def _times(n: int, w: np.ndarray, first: int = 0, prior: np.ndarray | None = None) -> np.ndarray:
+def _times(n: int, w: np.ndarray, first: int, prior: np.ndarray | None) -> np.ndarray:
     """Cumulative coalescence times from waiting-time uniforms, in place on w.
 
     Column j of w is waiting-time uniform first + j of its row (descending k
@@ -219,25 +220,25 @@ def _rho_inverse_cdf(n: int, w: np.ndarray) -> np.ndarray:
 
 
 class Statistic(NamedTuple):
-    """How a chunk draws and reduces its replicates, its keywords, and its rows' bytes."""
+    """How a chunk draws and reduces its replicates, its keywords and levels, and its rows' bytes."""
 
-    values: Callable[..., np.ndarray]  # (n, chunk, **keywords) -> a value or row per replicate
+    values: Callable[..., np.ndarray]  # (n, chunk, *levels) -> a value or row per replicate
     keywords: tuple[str, ...] = ()
-    check: Callable[..., object] = lambda n: None  # check(n, **keywords) raises ValueError
+    levels: Callable[..., tuple] = lambda n: ()  # (n, **keywords) -> values' levels, checked
     two_d: bool = False  # one row of values per replicate, not one value
-    rows: Callable[..., int] = lambda n, **keywords: 0  # bytes of a replicate's own rows
+    rows: Callable[..., int] = lambda n, *levels: 0  # bytes of a replicate's own rows
 
 
-def _bytes(statistic: Statistic, n: int, **keywords) -> int:
+def _bytes(statistic: Statistic, n: int, *levels) -> int:
     """Most bytes one replicate holds in its chunk: the engine's, whatever the statistic (a
     block of draws and a comparison's booleans, a stepped tile and tau's booleans on it, a
     pooled stream, its heads and scalars), and the statistic's own rows."""
-    return 9 * BLOCK + 9 * TILE + STREAM_BYTES + HEAD_BYTES + 128 + statistic.rows(n, **keywords)
+    return 9 * BLOCK + 9 * TILE + STREAM_BYTES + HEAD_BYTES + 128 + statistic.rows(n, *levels)
 
 
-def _width(statistic: Statistic, n: int, **keywords) -> int:
+def _width(statistic: Statistic, n: int, *levels) -> int:
     """Replicates per chunk: as many as BUDGET holds, at least 1, at most MAX_WIDTH."""
-    return max(1, min(MAX_WIDTH, BUDGET // _bytes(statistic, n, **keywords)))
+    return max(1, min(MAX_WIDTH, BUDGET // _bytes(statistic, n, *levels)))
 
 
 def _r(n: int, chunk: tuple) -> np.ndarray:
@@ -294,22 +295,20 @@ def _levels(n: int, chunk: tuple, hat: bool = False) -> np.ndarray:
     return row
 
 
-def _windows(n: int, chunk: tuple, *windows) -> np.ndarray:
-    """Per replicate, a column per window (alpha, beta): the external length on levels
-    ceil(n^alpha)..ceil(n^beta)-1, columns n-1-k of _levels' row, summed up the levels."""
-    bounds = [window(n, alpha, beta) for alpha, beta in windows]
+def _windows(n: int, chunk: tuple, *bounds) -> np.ndarray:
+    """Per replicate, a column per window (lo, hi): the external length on levels lo..hi-1,
+    columns n-1-k of _levels' row, summed up the levels."""
     row = _levels(n, chunk)
     return np.column_stack([row[:, n - hi:n - lo][:, ::-1].sum(axis=1) for lo, hi in bounds])
 
 
-def _hat_length(n: int, chunk: tuple, alpha: float, beta: float) -> np.ndarray:
+def _hat_length(n: int, chunk: tuple, m: int, big_m: int) -> np.ndarray:
     """The increment form's sum over levels m+1..n less its sum over levels M+1..n."""
-    m, big_m = floor_pow(n, alpha), floor_pow(n, beta)
     row = _levels(n, chunk, hat=True)[:, ::-1]  # column k-2 holds level k's term
     return row[:, m - 1:].sum(axis=1) - row[:, big_m - 1:].sum(axis=1)
 
 
-def _level_rows(n: int, **keywords) -> int:
+def _level_rows(n: int, *levels) -> int:
     """The L family's rows: _levels' row of n-1 terms, its prior and the next one."""
     return 8 * (n + 1)
 
@@ -336,15 +335,15 @@ def _tau(n: int, chunk: tuple) -> np.ndarray:
 
 
 def _snapshot(n: int, chunk: tuple, steps) -> np.ndarray:
-    """U_s at each of the steps per replicate, copied as its tile passes; U_0 = U_n = 0."""
-    steps = np.asarray(steps, dtype=int)
-    out = np.zeros((chunk[3], len(steps)))
+    """Per replicate, U_s at each step (one, or a row of one per replicate); U_0 = U_n = 0."""
+    at = np.broadcast_to(np.transpose(steps), (chunk[3], len(steps)))  # a row per replicate
+    out = np.zeros(at.shape)
 
     def take(first, tile):
-        now = (steps > first) & (steps < first + len(tile))
-        out[:, now] = tile[steps[now] - first].T
+        now = (at > first) & (at < first + len(tile))
+        out[now] = tile[at[now] - first, now.nonzero()[0]]
 
-    _urn_paths(n, chunk, int(steps[steps < n].max(initial=0)), take)
+    _urn_paths(n, chunk, int(np.max(steps, initial=0, where=np.less(steps, n))), take)
     return out
 
 
@@ -375,49 +374,43 @@ def _eta_count(n: int, chunk: tuple, a: float, b: float) -> np.ndarray:
         if past:
             break
     ends *= ends[0] < ends[1]  # rows with no point in [a, b) read U_0 = 0
-    u = np.zeros((2, count))  # U_(c_a) and U_(c_b)
-
-    def take(first, tile):
-        now = (ends > first) & (ends < first + len(tile))
-        u[now] = tile[ends[now] - first, np.nonzero(now)[1]]
-
-    _urn_paths(n, chunk, int(ends.max()), take)
-    return ends[1] - ends[0] + (u[1] - u[0])
+    u = _snapshot(n, chunk, ends)  # U_(c_a) and U_(c_b)
+    return ends[1] - ends[0] + (u[:, 1] - u[:, 0])
 
 
-def _check_steps(n: int, steps) -> None:
-    if np.ndim(steps) != 1 or len(steps) == 0:
+def _check_steps(n: int, steps) -> np.ndarray:
+    cells = np.array(steps, dtype=object)  # numpy refuses a ragged list in any other dtype
+    if cells.ndim != 1 or len(cells) == 0 or any(map(np.ndim, cells)):
         raise ValueError(f"steps must be a nonempty sequence, got {steps!r}")
-    for k in steps:
-        check_count("step k", k, 0, n)
+    return np.array([check_count("step k", k, 0, n) for k in steps], dtype=int)
+
+
+def _window_length(n: int, chunk: tuple, lo: int, hi: int) -> np.ndarray:
+    return _windows(n, chunk, (lo, hi))[:, 0]
 
 
 STATISTICS: dict[str, Statistic] = {
-    "L": Statistic(lambda n, chunk: _levels(n, chunk)[:, ::-1].sum(axis=1), rows=_level_rows),
-    "L_window": Statistic(lambda n, chunk, alpha, beta: _windows(n, chunk, (alpha, beta))[:, 0],
-                          ("alpha", "beta"), window, rows=_level_rows),
-    "L_hat": Statistic(_hat_length, ("alpha", "beta"), window, rows=_level_rows),
+    "L": Statistic(_window_length, levels=lambda n: (1, n), rows=_level_rows),  # every level
+    "L_window": Statistic(_window_length, ("alpha", "beta"), window, rows=_level_rows),
+    "L_hat": Statistic(_hat_length, ("alpha", "beta"), cuts, rows=_level_rows),
     "tau": Statistic(_tau),
     "rho": Statistic(lambda n, chunk: _rho_inverse_cdf(n, _uniform_rows(*chunk, 1)[:, 0])
                      .astype(float)),
     "R": Statistic(_r),
     "urn_marginal": Statistic(lambda n, chunk, k: _snapshot(n, chunk, [k])[:, 0], ("k",),
-                              lambda n, k: check_count("step k", k, 0, n)),
+                              lambda n, k: (check_count("step k", k, 0, n),)),
     "eta_count": Statistic(_eta_count, ("a", "b"), lambda n, a, b: check_interval(a, b)),
     # its row of values, twice: simulate concatenates the chunks' rows
-    "urn_snapshot": Statistic(_snapshot, ("steps",), _check_steps, two_d=True,
-                              rows=lambda n, steps: 16 * len(steps)),
-    "window_pair": Statistic(lambda n, chunk, window1, window2:
-                             _windows(n, chunk, window1, window2),
-                             ("window1", "window2"), lambda n, window1, window2:
-                             [window(n, *w) for w in (window1, window2)], two_d=True,
-                             rows=_level_rows),
+    "urn_snapshot": Statistic(_snapshot, ("steps",), lambda n, steps: (_check_steps(n, steps),),
+                              two_d=True, rows=lambda n, steps: 16 * len(steps)),
+    "window_pair": Statistic(_windows, ("window1", "window2"), lambda n, window1, window2: (
+        window(n, *window1), window(n, *window2)), two_d=True, rows=_level_rows),
 }
 
 
 def _chunk_kernel(statistic: str, n: int, seed: int, stream_id: int,
-                  start: int, count: int, params: dict) -> np.ndarray:
-    return STATISTICS[statistic].values(n, (seed, stream_id, start, count), **params)
+                  start: int, count: int, levels: tuple) -> np.ndarray:
+    return STATISTICS[statistic].values(n, (seed, stream_id, start, count), *levels)
 
 
 def _usable_cpus() -> int:
@@ -452,15 +445,15 @@ def plan(statistic: str, n: int, reps: int, seed: int, *,
     if sorted(params) != sorted(spec.keywords):
         raise ValueError(f"{statistic} takes keywords {list(spec.keywords)}, "
                          f"got {sorted(params)}")
-    spec.check(n, **params)
+    levels = spec.levels(n, **params)
     seed = int(seed)  # rng masks it with a Python int
     replicate_key(seed, reps - 1, stream_id)  # rejects a bad stream id or too many reps
-    count = -(-reps // _width(spec, n, **params))  # chunks
+    count = -(-reps // _width(spec, n, *levels))  # chunks
     workers = min(threads, count, _usable_cpus())
     count = min(reps, workers * -(-count // workers))
     size, extra = divmod(reps, count)  # equal chunks: no short one at the end
     return [Task(_chunk_kernel, (statistic, n, seed, stream_id, i * size + min(i, extra),
-                                 size + (i < extra), params)) for i in range(count)]
+                                 size + (i < extra), levels)) for i in range(count)]
 
 
 def run(tasks: list[Task], threads: int = 1) -> Iterator:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import urn
-from .indexing import check_count, check_window, floor_pow, window
+from .indexing import check_count, cuts, window
 
 
 @dataclass(frozen=True)
@@ -189,8 +189,7 @@ def hat_external_length(times: CoalescentTimes, hist: MergeHistory,
     the per-branch clipping sum_k X_k (min(T_k, T_m) - min(T_k, T_M)).
     """
     n = _check_same_n(times, hist)
-    check_window(alpha, beta)
-    m, big_m = floor_pow(n, alpha), floor_pow(n, beta)
+    m, big_m = cuts(n, alpha, beta)
 
     def increment_tail(lo: int) -> float:
         total = 0.0

@@ -15,12 +15,13 @@ import numbers
 _SNAP = 1e-9
 
 
-def check_count(name: str, value, least: int, most: float = math.inf) -> None:
-    """Refuse anything but an integer in [least, most], a bool or a float included."""
+def check_count(name: str, value, least: int, most: float = math.inf):
+    """Refuse anything but an integer in [least, most], a bool or a float included; return value."""
     # int is an Integral: naming it first spares an int the slower abstract check
     if type(value) is bool or not isinstance(value, (int, numbers.Integral)) \
             or not least <= value <= most:
         raise ValueError(f"{name} must be an integer in [{least}, {most}], got {value!r}")
+    return value
 
 
 def _snapped_pow(n: int, alpha: float) -> float:
@@ -55,6 +56,13 @@ def window(n: int, alpha: float, beta: float) -> tuple[int, int]:
     return ceil_pow(n, alpha), ceil_pow(n, beta)
 
 
-def check_interval(a: float, b: float) -> None:
+def cuts(n: int, alpha: float, beta: float) -> tuple[int, int]:
+    """(m, M) = (floor(n**alpha), floor(n**beta)): L_hat's cuts, 1 <= m <= M <= n."""
+    check_window(alpha, beta)
+    return floor_pow(n, alpha), floor_pow(n, beta)
+
+
+def check_interval(a: float, b: float) -> tuple[float, float]:
     if not 0 < a < b:
         raise ValueError(f"need 0 < a < b, got ({a}, {b})")
+    return a, b

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import batch, moments, stats, urn
-from .indexing import ceil_pow, floor_pow
+from .indexing import ceil_pow, cuts
 from .rng import DEFAULT_SEED
 
 # stream ids keep the statistical criteria on disjoint random streams
@@ -136,7 +136,7 @@ Criterion = NamedTuple("Criterion", [("stream_id", int), ("statistic", str), ("n
 
 
 def _truncated_length(seed: int, n: int, hat: np.ndarray, alpha: float, beta: float):
-    m = floor_pow(n, alpha)
+    m, _ = cuts(n, alpha, beta)
     mu, sig = float(moments.e_hat(n, m)), math.sqrt(float(moments.var_hat(n, m)))
     return [stats.ks_test((hat - mu) / sig, stats.normal_cdf, name="truncated_length_normality",
                           seed=seed, params={"n": n, "alpha": alpha})]

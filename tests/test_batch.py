@@ -30,7 +30,8 @@ def test_repeatable():
 
 def width(stat, n, **params):
     """Replicates per chunk that the byte budget gives stat at n, with no pool."""
-    return batch._width(batch.STATISTICS[stat], n, **params)
+    spec = batch.STATISTICS[stat]
+    return batch._width(spec, n, *spec.levels(n, **params))
 
 
 def test_replicate_count_extension():
@@ -380,9 +381,9 @@ def test_every_statistic_matches_scalar_on_real_streams(stat):
 def test_width_at_a_million_fits_the_budget():
     n = 10 ** 6
     for stat, spec in batch.STATISTICS.items():
-        params = invariance_params(stat, n)
-        w = batch._width(spec, n, **params)
-        assert w >= 1 and w * batch._bytes(spec, n, **params) <= batch.BUDGET, stat
+        levels = spec.levels(n, **invariance_params(stat, n))
+        w = batch._width(spec, n, *levels)
+        assert w >= 1 and w * batch._bytes(spec, n, *levels) <= batch.BUDGET, stat
 
 
 def test_widths_are_full_at_the_shapes_verify_and_the_benchmark_run():
@@ -653,7 +654,7 @@ def test_r_prefix_matches_whole_rows():
     for n in (2, 3, 4, 5, 65, 66, 129, 513, 514, 1000, 1025):
         w = batch._uniform_rows(SEED, 3, 0, reps, n)
         rho = batch._rho_inverse_cdf(n, w[:, 0])
-        expect = batch._times(n, w[:, 1:])[:, ::-1][np.arange(reps), rho - 1]
+        expect = batch._times(n, w[:, 1:], 0, None)[:, ::-1][np.arange(reps), rho - 1]
         got = batch.simulate("R", n, reps, SEED, stream_id=3)
         assert got.tobytes() == expect.tobytes(), n
 
@@ -774,9 +775,27 @@ def test_steps_are_refused_by_check_count(monkeypatch):
         with pytest.raises(ValueError) as refused:
             batch.simulate(statistic, 10, 10, SEED, **params)
         assert str(refused.value) == f"step k must be an integer in [0, 10], got {step!r}"
-    for steps in ([], 5, (s for s in [1]), [[1]]):  # not a nonempty sequence of steps
+    for steps in ([], 5, (s for s in [1]), [[1]], [1, [2]]):  # not a nonempty sequence of steps
         with pytest.raises(ValueError, match="steps must be a nonempty sequence"):
             batch.simulate("urn_snapshot", 10, 10, SEED, steps=steps)
+
+
+def test_chunks_check_nothing_plan_checked(monkeypatch):
+    # plan turns each statistic's keywords into its levels once: a chunk reads them and
+    # calls none of the level rules or checks again.
+    tasks = {stat: batch.plan(stat, 40, 600, SEED, **invariance_params(stat, 40))
+             for stat in batch.STATISTICS}
+    expect = {stat: batch.simulate(stat, 40, 600, SEED, **invariance_params(stat, 40))
+              for stat in batch.STATISTICS}
+
+    def refuse(*args):
+        raise AssertionError("a chunk checked its levels again")
+
+    for name in ("window", "cuts", "check_interval", "check_count"):
+        monkeypatch.setattr(batch, name, refuse)
+    for stat, plan in tasks.items():
+        got = np.concatenate(list(batch.run(plan)), axis=0)
+        assert got.tobytes() == expect[stat].tobytes(), stat
 
 
 def test_input_validation(monkeypatch):

@@ -19,13 +19,16 @@ def test_levels_are_those_between_the_powers():
     for n in [*range(2, 201), 10_000]:  # 10^4: every quarter power is an integer
         at_least = {e: [n ** e.numerator <= k ** e.denominator for k in range(n + 1)]
                     for e in EXPONENTS}
-        for e in EXPONENTS:  # floor_pow: the levels k >= 1 with k <= n^e number floor(n^e)
-            below = sum(k ** e.denominator <= n ** e.numerator for k in range(1, n + 1))
-            assert indexing.floor_pow(n, float(e)) == below, (n, e)
+        below = {}  # floor_pow: the levels k >= 1 with k <= n^e number floor(n^e)
+        for e in EXPONENTS:
+            below[e] = sum(k ** e.denominator <= n ** e.numerator for k in range(1, n + 1))
+            assert indexing.floor_pow(n, float(e)) == below[e], (n, e)
         for a, b in pairs:
             levels = [k for k in range(n + 1) if at_least[a][k] and not at_least[b][k]]
             lo, hi = indexing.window(n, float(a), float(b))
             assert 1 <= lo <= hi <= n and levels == list(range(lo, hi)), (n, a, b)
+            # L_hat's cuts, at n = 64 and (1/3, 1) too: 64 ** (1 / 3) snaps to 4
+            assert indexing.cuts(n, float(a), float(b)) == (below[a], below[b]), (n, a, b)
 
 
 def test_level_rules_refuse_what_they_cannot_place():
@@ -34,8 +37,12 @@ def test_level_rules_refuse_what_they_cannot_place():
             with pytest.raises(ValueError, match="exponent"):
                 rule(50, alpha)
     for alpha, beta in ((0.5, 0.5), (0.75, 0.25), (-0.25, 0.5), (0.5, 1.5), (math.nan, 1.0)):
-        with pytest.raises(ValueError, match="window exponents"):
-            indexing.window(50, alpha, beta)
+        with pytest.raises(ValueError, match="window exponents") as expect:
+            indexing.check_window(alpha, beta)
+        for rule in (indexing.window, indexing.cuts):  # check_window's refusal
+            with pytest.raises(ValueError) as exc:
+                rule(50, alpha, beta)
+            assert str(exc.value) == str(expect.value), rule
     for a, b in ((0.0, 1.0), (-1.0, 1.0), (2.0, 2.0), (2.0, 1.0), (math.nan, 1.0)):
         with pytest.raises(ValueError, match="0 < a < b"):
             indexing.check_interval(a, b)
