@@ -4,8 +4,8 @@ Each gate takes the sample as an array (one value per replicate, so
 reps = len(values)) and the seed that drew it, which the report records.
 All tests are deterministic given their sample (which is deterministic
 given a seed), and every report serializes to one strict-JSON object.
-scipy is imported inside ks_test and chi_square_gof, its only users, so that
-simulate, hist, moments and the exact checks start without loading it.
+The two p-values, Kolmogorov's survival function and the chi-square tail,
+are computed in closed form with math alone.
 """
 
 from __future__ import annotations
@@ -67,12 +67,10 @@ def ks_statistic(values: np.ndarray, cdf: Callable[[float], float]) -> float:
 def ks_test(values: np.ndarray, cdf: Callable[[float], float], *,
             name: str, seed: int, params: dict | None = None) -> TestReport:
     """KS test with an asymptotic p-value; passes when p >= P_FLOOR."""
-    from scipy.special import kolmogorov
-
     reps = len(values)
     check_count("KS test replicates", reps, 100)
     d = ks_statistic(values, cdf)
-    p = float(kolmogorov(math.sqrt(reps) * d))
+    p = kolmogorov_sf(math.sqrt(reps) * d)
     return TestReport(name, dict(params or {}), d, p, P_FLOOR, p >= P_FLOOR, seed, reps)
 
 
@@ -92,8 +90,6 @@ def chi_square_gof(values: np.ndarray, expected: Mapping, *,
     floats) summing to 1.  Cells are merged greedily from the high tail,
     then from the low tail, until every cell's expected mass is at least 5.
     """
-    from scipy.special import gammaincc
-
     floats = np.asarray(values, dtype=float)
     values = floats.astype(int)
     if np.any(values != floats):
@@ -120,7 +116,7 @@ def chi_square_gof(values: np.ndarray, expected: Mapping, *,
         raise ValueError("fewer than two cells remain after merging")
     stat = sum((o - e) ** 2 / e for o, e in zip(obs, exp))
     dof = len(obs) - 1
-    p = float(gammaincc(dof / 2.0, stat / 2.0))
+    p = chi_square_sf(stat, dof)
     all_params = dict(params or {})
     all_params["cells"] = len(obs)
     return TestReport(name, all_params, stat, p, P_FLOOR, p >= P_FLOOR, seed, reps)
@@ -166,3 +162,39 @@ def independence_check(values_a: np.ndarray, values_b: np.ndarray, *,
 
 def normal_cdf(x: float) -> float:
     return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
+
+
+def kolmogorov_sf(x: float) -> float:
+    """P(K > x) for Kolmogorov's limit law K of sqrt(m) times the KS distance.
+
+    Below 0.82 the cdf's theta series sqrt(2 pi)/x sum_k exp(-(2k-1)^2 pi^2 / (8x^2))
+    converges fastest, at and above it the alternating series
+    2 sum_k (-1)^(k-1) exp(-2 k^2 x^2).  The first term each sum leaves out
+    is below 1e-36 of its first, and each sum adds its smallest terms first.
+    """
+    if x < 0.82:
+        theta = sum(math.exp(-(2 * k - 1) ** 2 * math.pi ** 2 / (8.0 * x * x))
+                    for k in (3, 2, 1))
+        return 1.0 - math.sqrt(2.0 * math.pi) / x * theta
+    return 2.0 * sum((-1) ** (k - 1) * math.exp(-2.0 * k * k * x * x)
+                     for k in range(7, 0, -1))
+
+
+def chi_square_sf(stat: float, dof: int) -> float:
+    """P(X > stat) for X chi-square with integer dof, i.e. Q(dof/2, stat/2).
+
+    With x = stat/2, an even dof gives the Poisson sum e^-x sum_{j<dof/2} x^j/j!,
+    an odd one erfc(sqrt x) + e^-x sum_{1<=j<=dof//2} x^(j-1/2)/Gamma(j+1/2).
+    Each term is exponentiated from its logarithm, so none underflows
+    before the total does.  A NaN statistic gives NaN.
+    """
+    x = stat / 2.0
+    if x == 0.0:
+        return 1.0
+    log_x = math.log(x)
+    if dof % 2 == 0:
+        return math.fsum(math.exp(j * log_x - x - math.lgamma(j + 1.0))
+                         for j in range(dof // 2))
+    return math.erfc(math.sqrt(x)) + math.fsum(
+        math.exp((j - 0.5) * log_x - x - math.lgamma(j + 0.5))
+        for j in range(1, dof // 2 + 1))

@@ -424,13 +424,14 @@ def test_simulate_repeat_identical(tmp_path):
 
 
 COLD_START = textwrap.dedent("""
-    import math, sys
+    import sys
+    sys.modules["scipy"] = None  # any import of scipy now fails
     import numpy as np
     from kingman import cli
 
     # simulate and hist load numpy and batch; each other module loads with the command using it
     unused = ("kingman.verify", "kingman.stats", "kingman.moments", "kingman.urn",
-              "kingman.coalescent", "fractions", "json", "scipy.special")
+              "kingman.coalescent", "fractions", "json")
 
     def loaded(names):
         return [name for name in names if name in sys.modules]
@@ -441,7 +442,6 @@ COLD_START = textwrap.dedent("""
                  ["hist", "--statistic", "tau", "--n", "50", "--reps", "100", "--bins", "5"],
                  ["moments", "--quantity", "fu_li_var", "--n", "50"]):
         assert cli.main(argv + ["--out", out]) == 0, argv
-        assert "scipy.special" not in sys.modules, argv
         if argv[0] in ("simulate", "hist"):
             assert loaded(unused) == [], (argv, loaded(unused))
         else:
@@ -455,11 +455,10 @@ COLD_START = textwrap.dedent("""
     ks = stats.ks_test(values, lambda x: x, name="ks", seed=0)
     chi = stats.chi_square_gof(np.arange(400) % 4, {0: 0.2, 1: 0.3, 2: 0.25, 3: 0.25},
                                name="chi", seed=0)
-    assert "scipy.special" in sys.modules
-    from scipy.special import gammaincc, kolmogorov
-    assert ks.p_or_distance == float(kolmogorov(math.sqrt(1000) * ks.statistic))
-    assert chi.p_or_distance == float(gammaincc((chi.params["cells"] - 1) / 2.0,
-                                                   chi.statistic / 2.0))
+    scipy = [name for name in sys.modules if name.split(".")[0] == "scipy"]
+    assert scipy == ["scipy"] and sys.modules["scipy"] is None, scipy
+    import json
+    print(json.dumps([[r.statistic, r.p_or_distance, r.params.get("cells")] for r in (ks, chi)]))
 """)
 
 
@@ -470,10 +469,15 @@ def run_cold(script, out):
     proc = subprocess.run([sys.executable, "-c", script, str(out)],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
-def test_commands_without_p_values_start_without_scipy(tmp_path):
-    run_cold(COLD_START, tmp_path / "out")
+def test_cold_start_without_scipy(tmp_path):
+    # every command, and both p-values, run with scipy unimportable
+    (ks_d, ks_p, _), (chi_stat, chi_p, cells) = json.loads(run_cold(COLD_START, tmp_path / "out"))
+    from scipy.special import gammaincc, kolmogorov
+    assert ks_p == pytest.approx(float(kolmogorov(1000 ** 0.5 * ks_d)), rel=1e-13)
+    assert chi_p == pytest.approx(float(gammaincc((cells - 1) / 2.0, chi_stat / 2.0)), rel=1e-13)
 
 
 VERIFY_EXACT = textwrap.dedent("""
@@ -481,7 +485,7 @@ VERIFY_EXACT = textwrap.dedent("""
     from kingman import cli
     argv = ["verify", "--suite", "exact", "--seed", "7", "--threads", "1", "--out", sys.argv[1]]
     assert cli.main(argv) == 0
-    assert "scipy.special" not in sys.modules
+    assert "scipy" not in sys.modules
 """)
 
 

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammaincc, kolmogorov
 
 from conftest import master_stream
 from kingman import stats, verify
@@ -34,6 +35,37 @@ def test_ks_test_accepts_true_law_rejects_shifted():
 def test_ks_test_requires_replicates():
     with pytest.raises(ValueError):
         stats.ks_test(make_sample(np.arange(10) / 10.0), lambda x: x, name="tiny", seed=0)
+
+
+def test_kolmogorov_sf_matches_scipy():
+    xs = np.linspace(0.001, 4.0, 4000)
+    ref = kolmogorov(xs)
+    got = np.array([stats.kolmogorov_sf(float(x)) for x in xs])
+    assert np.all(np.abs(got - ref) <= 1e-12 * ref)  # every ref here is above 2e-14
+
+
+def test_chi_square_sf_matches_scipy():
+    stats_grid = np.concatenate(([0.0], np.geomspace(1e-6, 2000.0, 300),
+                                 np.linspace(2.5, 2000.0, 800)))
+    for dof in range(1, 41):
+        ref = gammaincc(dof / 2.0, stats_grid / 2.0)
+        got = np.array([stats.chi_square_sf(float(s), dof) for s in stats_grid])
+        shown = ref > 1e-300
+        assert np.count_nonzero(shown) > 800
+        assert np.all(np.abs(got - ref)[shown] <= 1e-12 * ref[shown]), dof
+
+
+@pytest.mark.parametrize("stat", [0.0, 1e-9, 0.3, 7.0, 59.99, 700.0, 1380.0])
+def test_chi_square_sf_low_dof_identities(stat):
+    assert stats.chi_square_sf(stat, 2) == pytest.approx(math.exp(-stat / 2.0), rel=1e-15)
+    assert stats.chi_square_sf(stat, 1) == pytest.approx(math.erfc(math.sqrt(stat / 2.0)),
+                                                         rel=1e-15)
+
+
+def test_p_values_nan_in_nan_out():
+    assert math.isnan(stats.kolmogorov_sf(math.nan))
+    for dof in (1, 2, 7, 10):
+        assert math.isnan(stats.chi_square_sf(math.nan, dof))
 
 
 def test_ks_distance_test_threshold():
