@@ -3,7 +3,9 @@
 A realization pairs the coalescent times T_1 > ... > T_n = 0 with a merge
 history: X_k counts the external branches whose internal node sits at
 level k, V_k the internal branches among k lineages.  The merge history is
-driven by the embedded urn chain via V_k = U_(n-k).
+driven by the embedded urn chain via V_k = U_(n-k).  These scalar forms
+are the readable reference on one replicate's stream; ``kingman.batch``
+is the package's sampler.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import urn
-from .indexing import check_count, cuts, window
+from .indexing import check_count, window
 
 
 @dataclass(frozen=True)
@@ -58,30 +60,6 @@ class MergeHistory:
 
 
 @dataclass(frozen=True)
-class LabeledHistory:
-    """Per-leaf merge levels rho(1)..rho(n)."""
-
-    n: int
-    rho: tuple[int, ...]
-
-    def __post_init__(self):
-        check_count("sample size n", self.n, 2)
-        if len(self.rho) != self.n:
-            raise ValueError("one level per leaf required")
-        for r in self.rho:
-            check_count("level rho", r, 1, self.n - 1)
-        if np.unique(self.rho, return_counts=True)[1].max() > 2:
-            raise ValueError("at most two leaves can merge at one level")
-
-    def merge_counts(self) -> tuple[int, ...]:
-        """The (X_1, ..., X_(n-1)) induced by the leaf levels."""
-        x = [0] * (self.n - 1)
-        for r in self.rho:
-            x[r - 1] += 1
-        return tuple(x)
-
-
-@dataclass(frozen=True)
 class ScaledPointPattern:
     """Multiset of sqrt(n) T_(rho(i)) values, one entry per leaf."""
 
@@ -121,42 +99,6 @@ def history_from_urn_path(path: urn.UrnPath) -> MergeHistory:
     return MergeHistory(path.n, path.u[::-1])
 
 
-def sample_labeled_history(n: int, rng: np.random.Generator) -> LabeledHistory:
-    """Simulate the partition chain, merging a uniform pair of blocks.
-
-    A block is tracked only by the singleton leaf it may still contain;
-    when a singleton block merges at the transition to k-1 blocks, its
-    leaf's level is k-1.
-    """
-    # blocks[j] = leaf label if the block is still a singleton, else 0
-    blocks = list(range(1, n + 1))
-    rho = [0] * n
-    for k in range(n, 1, -1):
-        pair = int(rng.integers(k * (k - 1) // 2))
-        # unrank the pair index to 0 <= i < j < k
-        i = 0
-        while pair >= k - 1 - i:
-            pair -= k - 1 - i
-            i += 1
-        j = i + 1 + pair
-        for leaf in (blocks[i], blocks[j]):
-            if leaf:
-                rho[leaf - 1] = k - 1
-        blocks[i] = 0
-        del blocks[j]
-    return LabeledHistory(n, tuple(rho))
-
-
-def sample_rho_single(n: int, rng: np.random.Generator) -> int:
-    """Level at which one tagged leaf merges: walking k = n..2, the
-    still-singleton leaf joins a merge with probability 2/k."""
-    check_count("sample size n", n, 2)
-    for k in range(n, 2, -1):
-        if rng.random() < 2.0 / k:
-            return k - 1
-    return 1
-
-
 def _check_same_n(times: CoalescentTimes, hist: MergeHistory) -> int:
     if times.n != hist.n:
         raise ValueError(f"mismatched sample sizes {times.n} and {hist.n}")
@@ -180,34 +122,9 @@ def window_external_length(times: CoalescentTimes, hist: MergeHistory,
     return float(sum(times.t[k] * hist.x[k - 1] for k in range(lo, hi)))
 
 
-def hat_external_length(times: CoalescentTimes, hist: MergeHistory,
-                        alpha: float, beta: float) -> float:
-    """External length clipped between T_floor(n**alpha) and T_floor(n**beta).
-
-    With m = floor(n**alpha) and M = floor(n**beta), this is the increment form
-    sum_(m<k<=n) (T_(k-1)-T_k)(k-V_k) minus the same sum from M, which equals
-    the per-branch clipping sum_k X_k (min(T_k, T_m) - min(T_k, T_M)).
-    """
-    n = _check_same_n(times, hist)
-    m, big_m = cuts(n, alpha, beta)
-
-    def increment_tail(lo: int) -> float:
-        total = 0.0
-        for k in range(lo + 1, n + 1):
-            total += (times.t[k - 1] - times.t[k]) * (k - hist.v[k])
-        return total
-
-    return increment_tail(m) - increment_tail(big_m)
-
-
 def scaled_point_pattern(times: CoalescentTimes, hist: MergeHistory) -> ScaledPointPattern:
     """Points sqrt(n) T_k with multiplicity X_k."""
     n = _check_same_n(times, hist)
     pts = np.repeat(math.sqrt(n) * times.t[1:n], hist.x)
     return ScaledPointPattern(n, pts)
 
-
-def single_branch_length(times: CoalescentTimes, rho: int) -> tuple[float, float]:
-    """(R_n, R_n') = (T_rho, 2(1/rho - 1/n)) for a leaf merging at level rho."""
-    check_count("level rho", rho, 1, times.n - 1)
-    return float(times.t[rho]), 2.0 * (1.0 / rho - 1.0 / times.n)

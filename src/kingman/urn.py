@@ -2,9 +2,10 @@
 
 An urn starts with n black balls; each step removes a random pair and adds
 one red ball, and the last step removes the final ball.  U_k is the red
-count after k steps.  Three equivalent samplers are provided (direct chain,
-two-box move/recolor scheme, permutation representation), together with
-exact finite-n laws computed in rational arithmetic.
+count after k steps.  The chain is given three equivalent ways: a direct
+scalar sampler, the two-box move/recolor scheme, and the deterministic map
+from a pair of permutations to a path.  Each has its exact finite-n law in
+rational arithmetic.
 """
 
 from __future__ import annotations
@@ -181,20 +182,6 @@ def sample_box_scheme(n: int, rng: np.random.Generator) -> UrnPath:
             red_b += 1
     path.append(0)
     return UrnPath(n, tuple(path))
-
-
-def sample_permutation_pair(n: int, rng: np.random.Generator) -> PermutationPair:
-    """Two independent uniform permutations of 1..n-1 via Fisher-Yates."""
-    check_count("sample size n", n, 2)
-
-    def shuffle() -> tuple[int, ...]:
-        a = list(range(1, n))
-        for i in range(len(a) - 1, 0, -1):
-            j = int(rng.integers(i + 1))
-            a[i], a[j] = a[j], a[i]
-        return tuple(a)
-
-    return PermutationPair(shuffle(), shuffle())
 
 
 def path_from_permutations(pair: PermutationPair) -> UrnPath:

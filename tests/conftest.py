@@ -8,8 +8,8 @@ input-generation speed health check are disabled.
 import numpy as np
 from hypothesis import HealthCheck, settings
 
-from kingman import coalescent
 from kingman.indexing import floor_pow
+from scalar_reference import hat_external_length
 
 settings.register_profile(
     "kingman",
@@ -41,9 +41,9 @@ def hat_by_leaves(times, hist, alpha: float, beta: float) -> float:
 
 
 def checked_hat_length(times, hist, alpha: float, beta: float) -> float:
-    """coalescent.hat_external_length, asserted to agree with hat_by_leaves to relative
+    """hat_external_length, asserted to agree with hat_by_leaves to relative
     HAT_AGREEMENT_RTOL."""
-    hat = coalescent.hat_external_length(times, hist, alpha, beta)
+    hat = hat_external_length(times, hist, alpha, beta)
     by_leaves = hat_by_leaves(times, hist, alpha, beta)
     scale = max(abs(hat), abs(by_leaves), 1.0)
     assert abs(hat - by_leaves) <= HAT_AGREEMENT_RTOL * scale, (hat, by_leaves)

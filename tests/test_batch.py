@@ -305,8 +305,8 @@ SCALAR = {
               checked_hat_length(times, hist, alpha, beta)),
     "tau": (lambda n: [{}], lambda path, times, hist, w: urn.tau(path)),
     "rho": (lambda n: [{}], lambda path, times, hist, w: scalar_rho(hist.n, w[0])),
-    "R": (lambda n: [{}], lambda path, times, hist, w: coalescent.single_branch_length(
-        coalescent.sample_waiting_times(hist.n, Words(w[1:])), scalar_rho(hist.n, w[0]))[0]),
+    "R": (lambda n: [{}], lambda path, times, hist, w: coalescent.sample_waiting_times(
+        hist.n, Words(w[1:])).t[scalar_rho(hist.n, w[0])]),
     "urn_marginal": (lambda n: [{"k": k} for k in range(n + 1)],
                      lambda path, times, hist, w, k: path.u[k]),
     "eta_count": (lambda n: [{"a": 0.5, "b": 3.0}, {"a": 1e-9, "b": 1e9}],

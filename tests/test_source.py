@@ -1,9 +1,14 @@
 """The package's source itself: what a refactor can leave behind unnoticed."""
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "kingman"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "kingman"
+# public names whose shipped caller is still to come: e_eta_count's is the finite suite
+AWAITING_A_CALLER = {"e_eta_count"}
 
 
 def test_no_module_imports_a_name_it_never_uses():
@@ -20,3 +25,37 @@ def test_no_module_imports_a_name_it_never_uses():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused = {name: line for name, line in imported.items() if name not in used}
         assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def named(node) -> Counter:
+    """Each name, attribute and word of a string under node, counted."""
+    words = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            words[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            words[sub.attr] += 1
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            words.update(re.findall(r"\w+", sub.value))
+    return words
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    trees = {path: ast.parse(path.read_text(), str(path))
+             for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))}
+    everywhere = sum((named(tree) for tree in trees.values()), Counter())
+    uncalled = set()
+    for path, tree in trees.items():
+        if path.parent != PACKAGE:
+            continue
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                if everywhere[node.name] == named(node)[node.name]:  # named in its own body alone
+                    uncalled.add(node.name)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                modules = [node.module] if isinstance(node, ast.ImportFrom) else \
+                    [alias.name for alias in node.names]
+                assert not {"conftest", "scalar_reference"} & set(modules), \
+                    f"{path.name} imports the tests' helpers"
+    assert uncalled == AWAITING_A_CALLER, f"only the tests call {sorted(uncalled)}"

@@ -116,20 +116,10 @@ def test_sampler_matches_exact_law():
     assert p_value > 0.001
 
 
-def test_permutation_and_box_samplers_have_the_exact_path_law():
+def test_box_scheme_sampler_has_the_exact_path_law():
     for n in range(2, 6):
-        law = urn.exact_path_law(n)
-        assert urn.enumerated_law(lambda rng: urn.path_from_permutations(
-            urn.sample_permutation_pair(n, rng)).u) == law, n
-        assert urn.enumerated_law(lambda rng: urn.sample_box_scheme(n, rng).u) == law, n
-
-
-def test_permutation_path_construction():
-    rng = master_stream(11)
-    for _ in range(200):
-        pair = urn.sample_permutation_pair(6, rng)
-        path = urn.path_from_permutations(pair)
-        urn.UrnPath(6, path.u)
+        assert urn.enumerated_law(
+            lambda rng: urn.sample_box_scheme(n, rng).u) == urn.exact_path_law(n), n
 
 
 def reverse_path(p):
