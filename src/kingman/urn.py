@@ -36,11 +36,9 @@ class UrnPath:
         check_count("sample size n", n, 2)
         if len(u) != n + 1:
             raise ValueError(f"path must have {n + 1} entries, got {len(u)}")
-        if u[0] != 0 or u[n] != 0 or u[1] != 1 or u[n - 1] != 1:
-            raise ValueError("path must satisfy U_0=U_n=0 and U_1=U_(n-1)=1")
-        for k in range(2, n - 1):
-            if not 1 <= u[k] <= min(k, n - k):
-                raise ValueError(f"U_{k}={u[k]} outside [1, min(k, n-k)]")
+        for k, v in enumerate(u):
+            if v not in (live := states(n, k)):
+                raise ValueError(f"U_{k}={v} outside {live[0]}..{live[-1]}")
         for k in range(n):
             if abs(u[k + 1] - u[k]) > 1:
                 raise ValueError("path increments must lie in {-1, 0, +1}")
@@ -89,6 +87,21 @@ class ExactLaw(Mapping):
         return sum((Fraction(o) * p for o, p in self._probs.items()), ZERO)
 
 
+def states(n: int, k: int) -> range:
+    """The values U_k takes: 0 alone at k = 0 and k = n, otherwise 1..min(k, n-k)."""
+    return range(1) if k in (0, n) else range(1, min(k, n - k) + 1)
+
+
+def pair_counts(n: int, k: int, u):
+    """(red, mixed, black) pair counts among the n - k balls left after step k, u of
+    them red: a red pair steps U down, a mixed one keeps it, a black one steps it up.
+
+    u may be an integer array.
+    """
+    black = n - k - u
+    return u * (u - 1) // 2, u * black, black * (black - 1) // 2
+
+
 def transition_probabilities(n: int, k: int, u: int) -> tuple[Fraction, Fraction, Fraction]:
     """Exact (down, stay, up) probabilities for U_{k+1} given U_k = u.
 
@@ -97,42 +110,32 @@ def transition_probabilities(n: int, k: int, u: int) -> tuple[Fraction, Fraction
     """
     check_count("sample size n", n, 2)
     check_count("step k", k, 0, n - 2)
-    balls = n - k
-    check_count("state u", u, 0, balls)
-    denom = comb(balls, 2)
-    down = Fraction(comb(u, 2), denom)
-    stay = Fraction(u * (balls - u), denom)
-    up = Fraction(comb(balls - u, 2), denom)
-    return down, stay, up
+    check_count("state u", u, 0, n - k)
+    whole = comb(n - k, 2)
+    return tuple(Fraction(c, whole) for c in pair_counts(n, k, u))
 
 
-def successors(n: int, k: int, u: int) -> list[tuple[int, Fraction]]:
-    """Nonzero (U_(k+1), probability) pairs given U_k = u, for 0 <= k <= n-1.
+def step_law(n: int, k: int, dist: dict[int, Fraction]) -> dict[int, Fraction]:
+    """The law of U_(k+1) from the law of U_k, for 0 <= k <= n-1.
 
     The last step k = n-1 removes the final ball, so U_n = 0 surely.
     """
     if k == n - 1:
-        return [(0, ONE)]
-    down, stay, up = transition_probabilities(n, k, u)
-    return [(u + du, q) for du, q in ((-1, down), (0, stay), (1, up)) if q != 0]
-
-
-def step_law(n: int, k: int, dist: dict[int, Fraction]) -> dict[int, Fraction]:
-    """The law of U_(k+1) from the law of U_k."""
+        return {0: sum(dist.values(), ZERO)}
     nxt: dict[int, Fraction] = {}
     for u, p in dist.items():
-        for v, q in successors(n, k, u):
-            nxt[v] = nxt.get(v, ZERO) + p * q
+        for v, q in zip((u - 1, u, u + 1), transition_probabilities(n, k, u)):
+            if q:
+                nxt[v] = nxt[v] + p * q if v in nxt else p * q
     return nxt
 
 
 def _float_thresholds(n: int, k: int, u):
     """Step down if w < t_down, up if w >= t_stay; u may be an int64 array."""
-    balls = n - k
-    denom = balls * (balls - 1) / 2.0
-    t_down = (u * (u - 1) / 2.0) / denom
-    t_stay = t_down + (u * (balls - u)) / denom
-    return t_down, t_stay
+    down, stay, _ = pair_counts(n, k, u)
+    whole = comb(n - k, 2)
+    t_down = down / whole
+    return t_down, t_down + stay / whole
 
 
 def sample_urn_path(n: int, rng: np.random.Generator) -> UrnPath:
@@ -204,7 +207,7 @@ def exact_path_law(n: int) -> ExactLaw:
     frontier: dict[tuple[int, ...], Fraction] = {(0,): ONE}
     for k in range(n):
         frontier = {prefix + (v,): p * q for prefix, p in frontier.items()
-                    for v, q in successors(n, k, prefix[-1])}
+                    for v, q in step_law(n, k, {prefix[-1]: ONE}).items()}
     return ExactLaw(frontier)
 
 

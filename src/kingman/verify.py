@@ -73,7 +73,7 @@ def check_hypergeometric(seed: int = DEFAULT_SEED) -> stats.TestReport:
         for k in range(1, n):
             dist = urn.step_law(n, k - 1, dist)
             yield from _same_law(dist, {u: urn.hypergeometric_pmf(n, k, u - 1)
-                                        for u in range(1, min(k, n - k) + 1)})
+                                        for u in urn.states(n, k)})
     return _exact_report("hypergeometric_marginal_exact", 50, seed, pairs)
 
 
@@ -96,24 +96,18 @@ def check_variance_identity(seed: int = DEFAULT_SEED) -> stats.TestReport:
 
 
 def check_martingale_identity(seed: int = DEFAULT_SEED) -> stats.TestReport:
-    """sum_u' p(u'|u) u' == ((n-k-2)/(n-k)) u + 1 for every state, n <= 100.
+    """sum_u' p(u'|u) u' == ((n-k-2)/(n-k)) u + 1 on every state, n <= 100.
 
     Both sides are multiplied by (n-k) and D = comb(n-k, 2) and compared as
-    integers; a probability whose denominator does not divide D gives None,
-    a violation.
+    integers, the left from the step's pair counts, each of which must be >= 0.
     """
     def pairs(n):
         for k in range(n - 1):
             balls = n - k
-            whole = math.comb(balls, 2)
-            for u in (0,) if k == 0 else range(1, min(k, balls) + 1):
-                probs = urn.transition_probabilities(n, k, u)
-                want = whole * ((balls - 2) * u + balls)
-                if any(whole % p.denominator for p in probs):
-                    yield None, want
-                    continue
-                down, stay, up = (p.numerator * (whole // p.denominator) for p in probs)
-                yield balls * (down * (u - 1) + stay * u + up * (u + 1)), want
+            for u in urn.states(n, k):
+                counts = down, stay, up = urn.pair_counts(n, k, u)
+                yield ((balls * (down * (u - 1) + stay * u + up * (u + 1)), min(counts) >= 0),
+                       (math.comb(balls, 2) * ((balls - 2) * u + balls), True))
     return _exact_report("martingale_identity_exact", 100, seed, pairs)
 
 

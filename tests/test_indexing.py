@@ -139,10 +139,10 @@ INTEGER_ARGUMENTS = [
      lambda v: moments.e_eta_count(v, 1.0, 2.0)),
 ]
 
-# integer parameters the table leaves out: internal steps behind a checked caller, and
-# the samplers whose returned path refuses n (see the test after the table's)
-UNCHECKED = {(urn.successors, "n"), (urn.successors, "k"), (urn.successors, "u"),
-             (urn.step_law, "n"), (urn.step_law, "k"),
+# integer parameters the table leaves out: the chain's formulas and internal steps behind a
+# checked caller, and the samplers whose returned path refuses n (see the test after the table's)
+UNCHECKED = {(urn.states, "n"), (urn.states, "k"), (urn.pair_counts, "n"),
+             (urn.pair_counts, "k"), (urn.step_law, "n"), (urn.step_law, "k"),
              (urn.sample_urn_path, "n"), (urn.sample_box_scheme, "n")}
 
 

@@ -115,7 +115,7 @@ def test_batch_urn_snapshot_meets_the_oracle(paths_1000):
     n, steps = 1000, [250, 500, 750]
     sample = batch.simulate("urn_snapshot", n, REPS, SEED, stream_id=42, steps=steps)
     for column, k in zip(sample.T, steps):
-        law = {r + 1: urn.hypergeometric_pmf(n, k, r) for r in range(min(k, n - k))}
+        law = {u: urn.hypergeometric_pmf(n, k, u - 1) for u in urn.states(n, k)}
         p = homogeneity_p(column, paths_1000[:, k], law)
         print(f"U_{k} n={n}: batch urn_snapshot against oracle, two-sample chi-square p={p:.3g}")
         assert p >= stats.P_FLOOR, k

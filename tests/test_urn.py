@@ -1,6 +1,7 @@
 """Urn chain: transitions, samplers, exact enumerations, tau."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -13,16 +14,10 @@ from conftest import master_stream
 from kingman import urn, verify
 
 
-def valid_states(n, k):
-    if k == 0 or k == n:
-        return (0,)
-    return range(1, min(k, n - k) + 1)
-
-
 @given(st.integers(2, 40), st.data())
 def test_transitions_form_a_distribution(n, data):
     k = data.draw(st.integers(0, n - 2))
-    u = data.draw(st.sampled_from(list(valid_states(n, k))))
+    u = data.draw(st.sampled_from(urn.states(n, k)))
     down, stay, up = urn.transition_probabilities(n, k, u)
     assert down + stay + up == 1
     assert min(down, stay, up) >= 0
@@ -49,12 +44,36 @@ def test_transition_rejects_bad_state():
 def test_urn_path_invariants():
     urn.UrnPath(4, (0, 1, 2, 1, 0))
     with pytest.raises(ValueError):
-        urn.UrnPath(4, (0, 1, 1, 1, 1))  # bad right boundary
-    with pytest.raises(ValueError):
         urn.UrnPath(4, (0, 1, 3, 1, 0))  # jump of 2
-    with pytest.raises(ValueError):
-        urn.UrnPath(6, (0, 1, 2, 3, 3, 1, 0))  # u_4 > min(4, 2)
     urn.UrnPath(6, (0, 1, 2, 3, 2, 1, 0))  # the peaked path is admissible
+
+
+@pytest.mark.parametrize("n, u, message", [
+    (6, (1, 1, 2, 2, 2, 1, 0), "U_0=1 outside 0..0"),
+    (6, (0, 2, 2, 2, 2, 1, 0), "U_1=2 outside 1..1"),
+    (6, (0, 1, 2, 3, 3, 1, 0), "U_4=3 outside 1..2"),
+    (6, (0, 1, 2, 2, 2, 2, 0), "U_5=2 outside 1..1"),
+    (6, (0, 1, 2, 2, 2, 1, 1), "U_6=1 outside 0..0"),
+    (4, (0, 1, 1.5, 1, 0), "U_2=1.5 outside 1..2"),
+], ids=["U_0", "U_1", "interior", "U_(n-1)", "U_n", "non-integer"])
+def test_urn_path_refuses_a_value_outside_the_states(n, u, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        urn.UrnPath(n, u)
+
+
+def test_pair_counts_and_states_are_the_step():
+    for n in range(2, 61):
+        for k in range(n):
+            us = np.arange(n - k + 1)
+            assert np.array_equal(np.array(urn.pair_counts(n, k, us)).T,
+                                  [urn.pair_counts(n, k, int(u)) for u in us]), (n, k)
+        for k in range(n + 1):
+            for u in urn.states(n, k):
+                counts = urn.pair_counts(n, k, u)
+                assert min(counts) >= 0 and sum(counts) == math.comb(n - k, 2), (n, k, u)
+    for n in range(2, 13):
+        for k in range(n + 1):
+            assert set(urn.states(n, k)) == set(urn.exact_marginal(n, k)), (n, k)
 
 
 def test_exact_path_law_n4_frozen():
@@ -98,8 +117,7 @@ def test_joint_marginal_consistency():
 @given(st.integers(2, 60), st.data())
 def test_hypergeometric_pmf_normalizes(n, data):
     k = data.draw(st.integers(1, n - 1))
-    total = sum(urn.hypergeometric_pmf(n, k, r)
-                for r in range(min(k, n - k)))
+    total = sum(urn.hypergeometric_pmf(n, k, u - 1) for u in urn.states(n, k))
     assert total == 1
 
 
@@ -153,16 +171,13 @@ def local_balance_pairs(n):
     laws = [{0: Fraction(1)}]
     for i in range(n):
         laws.append(urn.step_law(n, i, laws[-1]))
-    for i in range(n):
-        forward = {(u, v): (p, q) for u, p in laws[i].items()
-                   for v, q in urn.successors(n, i, u)}
-        backward = {(u, v): (p, q) for v, p in laws[i + 1].items()
-                    for u, q in urn.successors(n, n - 1 - i, v)}
+    for i in range(n):  # step_law of the point mass pi_i(u) at u is pi_i(u) p_i(u, .)
+        forward = {(u, v): q for u, p in laws[i].items()
+                   for v, q in urn.step_law(n, i, {u: p}).items()}
+        backward = {(u, v): q for v, p in laws[i + 1].items()
+                    for u, q in urn.step_law(n, n - 1 - i, {v: p}).items()}
         for key in forward.keys() | backward.keys():
-            (p, q), (r, s) = forward.get(key, (0, 1)), backward.get(key, (0, 1))
-            # p q = r s cross-multiplied: as exact, and cheaper than Fraction products
-            yield (p.numerator * q.numerator * r.denominator * s.denominator,
-                   r.numerator * s.numerator * p.denominator * q.denominator)
+            yield forward.get(key, 0), backward.get(key, 0)
 
 
 LOCAL_BALANCE_PAIRS = 241_523  # at n <= 100
