@@ -11,7 +11,6 @@ rational arithmetic.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, prod
@@ -60,31 +59,23 @@ class PermutationPair:
             raise ValueError("each sequence must be a permutation of 1..n-1")
 
 
-class ExactLaw(Mapping):
-    """Discrete law with exact rational probabilities summing to 1."""
+class ExactLaw(dict):
+    """Discrete law with exact rational probabilities summing to 1; it lists only the
+    outcomes of positive probability, and reads 0 for any other."""
 
     def __init__(self, probs: dict):
-        total = ZERO
-        for outcome, p in probs.items():
-            p = Fraction(p)
+        dict.__init__(self, {o: Fraction(p) for o, p in probs.items() if p != 0})
+        for outcome, p in self.items():
             if p < 0:
                 raise ValueError(f"negative probability for outcome {outcome}")
-            total += p
-        if total != 1:
+        if (total := sum(self.values(), ZERO)) != 1:
             raise ValueError(f"probabilities sum to {total}, not 1")
-        self._probs = {o: Fraction(p) for o, p in probs.items() if p != 0}
 
-    def __getitem__(self, outcome):
-        return self._probs.get(outcome, ZERO)
-
-    def __iter__(self):
-        return iter(self._probs)
-
-    def __len__(self):
-        return len(self._probs)
+    def __missing__(self, outcome):
+        return ZERO
 
     def mean(self) -> Fraction:
-        return sum((Fraction(o) * p for o, p in self._probs.items()), ZERO)
+        return sum((Fraction(o) * p for o, p in self.items()), ZERO)
 
 
 def states(n: int, k: int) -> range:
@@ -163,7 +154,7 @@ def sample_box_scheme(n: int, rng: np.random.Generator) -> UrnPath:
     returned path (0, U'_1+1, ..., U'_(n-1)+1, 0) has the chain's law.
     """
     black_a, red_a = n - 1, 0
-    black_b, red_b = 0, 0
+    black_b = 0
     path = [0]
     for _ in range(n - 1):
         # move: uniform over balls currently in A
@@ -173,7 +164,6 @@ def sample_box_scheme(n: int, rng: np.random.Generator) -> UrnPath:
             black_b += 1
         else:
             red_a -= 1
-            red_b += 1
         path.append(red_a + 1)
         # recolor: uniform over black balls in either box
         pick = int(rng.integers(black_a + black_b))
@@ -182,7 +172,6 @@ def sample_box_scheme(n: int, rng: np.random.Generator) -> UrnPath:
             red_a += 1
         else:
             black_b -= 1
-            red_b += 1
     path.append(0)
     return UrnPath(n, tuple(path))
 
@@ -277,7 +266,7 @@ def exact_marginal(n: int, k: int) -> ExactLaw:
     return ExactLaw(dist)
 
 
-def exact_joint_marginal(n: int, k: int, l: int) -> dict[tuple[int, int], Fraction]:
+def exact_joint_marginal(n: int, k: int, l: int) -> ExactLaw:
     """Exact joint law of (U_k, U_l) for k <= l via two-stage DP."""
     check_count("step k", k, 0, n)
     check_count("step l", l, k, n)
@@ -288,7 +277,7 @@ def exact_joint_marginal(n: int, k: int, l: int) -> dict[tuple[int, int], Fracti
             dist = step_law(n, step, dist)
         for b, pb in dist.items():
             joint[(a, b)] = pa * pb
-    return joint
+    return ExactLaw(joint)
 
 
 def hypergeometric_pmf(n: int, k: int, r: int) -> Fraction:

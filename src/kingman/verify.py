@@ -36,9 +36,9 @@ def _exact_report(name: str, n_max: int, seed: int, pairs, n_min: int = 2) -> st
 
 
 def _same_law(a, b):
-    """(a's probability, b's) of each outcome of either law."""
+    """(a's probability, b's) of each outcome of either law, None where one does not list it."""
     for x in a.keys() | b.keys():
-        yield a.get(x, 0), b.get(x, 0)
+        yield a.get(x), b.get(x)
 
 
 # ------------------------------------------------------------- exact suite
@@ -112,13 +112,13 @@ def check_martingale_identity(seed: int = DEFAULT_SEED) -> stats.TestReport:
 
 
 def check_tau_tail(seed: int = DEFAULT_SEED) -> stats.TestReport:
-    """Product-formula tail equals the enumeration tail for n <= 9."""
+    """The tails of tau's law by the product formula equal the enumeration's, n <= 9."""
     def pairs(n):
-        law = urn.exact_path_law(n)
+        law, formula = urn.exact_path_law(n), urn.tau_exact_law(n)
         taus = {path: urn.tau(urn.UrnPath(n, path)) for path in law}
         for k in range(1, n + 1):
             yield (sum((p for path, p in law.items() if taus[path] >= k), Fraction(0)),
-                   urn.tau_exact_tail(n, k))
+                   sum((p for t, p in formula.items() if t >= k), Fraction(0)))
     return _exact_report("tau_tail_exact", urn.MAX_PATH_ENUM_N, seed, pairs)
 
 

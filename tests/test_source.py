@@ -9,6 +9,11 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "kingman"
 # public names whose shipped caller is still to come: e_eta_count's is the finite suite
 AWAITING_A_CALLER = {"e_eta_count"}
+# public names that perfbench/ alone names, for its reference timings and its tracer;
+# ROADMAP.md items 18 and 1(a) move or delete them with the next change to the benchmark
+BENCHMARK_ONLY = {"sample_waiting_times", "history_from_urn_path", "total_external_length",
+                  "window_external_length", "scaled_point_pattern", "sample_urn_path",
+                  "statistical_suite"}
 
 
 def test_no_module_imports_a_name_it_never_uses():
@@ -40,22 +45,30 @@ def named(node) -> Counter:
     return words
 
 
-def test_every_public_name_has_a_caller_outside_the_tests():
-    trees = {path: ast.parse(path.read_text(), str(path))
-             for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))}
+def uncalled(paths) -> set:
+    """The public functions and classes of src/kingman among paths that no file of paths
+    names outside their own body."""
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in paths}
     everywhere = sum((named(tree) for tree in trees.values()), Counter())
-    uncalled = set()
-    for path, tree in trees.items():
-        if path.parent != PACKAGE:
-            continue
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-                if everywhere[node.name] == named(node)[node.name]:  # named in its own body alone
-                    uncalled.add(node.name)
-        for node in ast.walk(tree):
+    return {node.name for path, tree in trees.items() if path.parent == PACKAGE
+            for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")
+            and everywhere[node.name] == named(node)[node.name]}  # named in its own body alone
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 modules = [node.module] if isinstance(node, ast.ImportFrom) else \
                     [alias.name for alias in node.names]
                 assert not {"conftest", "scalar_reference"} & set(modules), \
                     f"{path.name} imports the tests' helpers"
-    assert uncalled == AWAITING_A_CALLER, f"only the tests call {sorted(uncalled)}"
+    names = uncalled(sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")))
+    assert names == AWAITING_A_CALLER, f"only the tests call {sorted(names)}"
+
+
+def test_only_the_benchmark_keeps_these_public_names_alive():
+    names = uncalled(sorted(PACKAGE.glob("*.py")))
+    assert names == AWAITING_A_CALLER | BENCHMARK_ONLY, \
+        f"nothing in src/kingman calls {sorted(names - AWAITING_A_CALLER)}"

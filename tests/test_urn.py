@@ -189,6 +189,13 @@ def test_reversal_by_local_balance():
     assert (report.params["checks"], report.statistic) == (LOCAL_BALANCE_PAIRS, 0), report
 
 
+def test_same_law_fails_an_outcome_only_one_law_lists():
+    # a listed outcome of probability 0 is not the same law as an unlisted one
+    report = verify._exact_report(
+        "support", 2, 0, lambda n: verify._same_law({1: urn.ONE}, {1: urn.ONE, 2: urn.ZERO}))
+    assert (report.params["checks"], report.statistic) == (2, 1), report
+
+
 def test_tau_examples():
     assert urn.tau(urn.UrnPath(4, (0, 1, 1, 1, 0))) == 1
     assert urn.tau(urn.UrnPath(4, (0, 1, 2, 1, 0))) == 2
@@ -209,6 +216,20 @@ def test_tau_sqrt_n_scaling():
     n, t = 40_000, 1.0
     k = int(t * math.sqrt(n))
     assert float(urn.tau_exact_tail(n, k)) == pytest.approx(math.exp(-t * t), rel=0.02)
+
+
+def test_exact_law_lists_only_its_outcomes():
+    law = urn.exact_marginal(6, 3)
+    assert 99 not in law
+    assert law.get(99, "d") == "d"
+    assert law[99] == 0
+    assert dict(law) == {1: Fraction(3, 10), 2: Fraction(3, 5), 3: Fraction(1, 10)}
+    assert dict(urn.ExactLaw({1: 0.5, 2: 0, 3: Fraction(1, 2)})) == {1: Fraction(1, 2),
+                                                                     3: Fraction(1, 2)}
+    with pytest.raises(ValueError, match="^negative probability for outcome 2$"):
+        urn.ExactLaw({1: Fraction(3, 2), 2: Fraction(-1, 2)})
+    with pytest.raises(ValueError, match="^probabilities sum to 3/4, not 1$"):
+        urn.ExactLaw({1: Fraction(1, 2), 2: Fraction(1, 4)})
 
 
 def test_exact_law_json_shape():
