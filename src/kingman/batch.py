@@ -285,9 +285,11 @@ def _levels(n: int, chunk: tuple, hat: bool = False) -> np.ndarray:
     def timed(first, w):
         t = _times(n, w, first, prior)
         end = t[:, -1].copy()
-        if hat:  # T_k - T_(k+1), right to left: no column is read once it is written
-            for c in range(t.shape[1] - 1, -1, -1):
-                np.subtract(t[:, c], t[:, c - 1] if c else prior, out=t[:, c])
+        if hat:  # T_k - T_(k+1), from the right a TILE at a time: numpy copies an overlapping
+            for b in range(t.shape[1], 1, -TILE):  # operand, so each copy is one tile's
+                a = max(b - TILE, 1)
+                np.subtract(t[:, a:b], t[:, a - 1:b - 1], out=t[:, a:b])
+            t[:, 0] -= prior
         np.copyto(prior, end)
         row[:, first:first + t.shape[1]] *= t
 

@@ -11,9 +11,10 @@ rational arithmetic.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, prod
+from math import comb, prod
 
 import numpy as np
 
@@ -243,41 +244,34 @@ MAX_PERM_ENUM_N = 6
 
 
 def permutation_exact_law(n: int) -> ExactLaw:
-    """Path law induced by all ((n-1)!)^2 permutation pairs, exactly."""
+    """Path law of all ((n-1)!)^2 permutation pairs: each path's pairs counted, divided once."""
     check_count("sample size n", n, 2, MAX_PERM_ENUM_N)
-    m = n - 1
-    weight = Fraction(1, factorial(m) ** 2)
-    laws: dict[tuple[int, ...], Fraction] = {}
-    symbols = tuple(range(1, n))
-    for rho in itertools.permutations(symbols):
-        for sigma in itertools.permutations(symbols):
-            path = path_from_permutations(PermutationPair(rho, sigma)).u
-            laws[path] = laws.get(path, ZERO) + weight
-    return ExactLaw(laws)
+    pairs = itertools.product(itertools.permutations(range(1, n)), repeat=2)
+    counts = Counter(path_from_permutations(PermutationPair(*pair)).u for pair in pairs)
+    return ExactLaw({path: Fraction(c, counts.total()) for path, c in counts.items()})
 
 
-def exact_marginal(n: int, k: int) -> ExactLaw:
-    """Law of U_k by forward dynamic programming in rationals."""
+def _forward(n: int, k: int, dist: dict[int, Fraction]):
+    """dist, a law of U_k, then its images under step_law at steps k+1..n in turn."""
+    return itertools.accumulate(range(k, n), lambda d, s: step_law(n, s, d), initial=dist)
+
+
+def exact_marginal(n: int) -> list[ExactLaw]:
+    """The laws of U_0..U_n (U_k's at index k), by one forward pass in rationals."""
+    check_count("sample size n", n, 2)
+    return [ExactLaw(law) for law in _forward(n, 0, {0: ONE})]
+
+
+def exact_joint_marginal(n: int, k: int) -> list[ExactLaw]:
+    """The joint laws of (U_k, U_l) for l = k..n (index l - k): each state a of U_k is
+    stepped forward once from its point mass P(U_k = a), which step_law keeps as a weight."""
     check_count("sample size n", n, 2)
     check_count("step k", k, 0, n)
-    dist: dict[int, Fraction] = {0: ONE}
-    for step in range(k):
-        dist = step_law(n, step, dist)
-    return ExactLaw(dist)
-
-
-def exact_joint_marginal(n: int, k: int, l: int) -> ExactLaw:
-    """Exact joint law of (U_k, U_l) for k <= l via two-stage DP."""
-    check_count("step k", k, 0, n)
-    check_count("step l", l, k, n)
-    joint: dict[tuple[int, int], Fraction] = {}
-    for a, pa in exact_marginal(n, k).items():
-        dist = {a: ONE}
-        for step in range(k, l):
-            dist = step_law(n, step, dist)
-        for b, pb in dist.items():
-            joint[(a, b)] = pa * pb
-    return ExactLaw(joint)
+    joints: list[dict] = [{} for _ in range(k, n + 1)]
+    for a, p in next(itertools.islice(_forward(n, 0, {0: ONE}), k, None)).items():  # U_k's law
+        for joint, law in zip(joints, _forward(n, k, {a: p})):
+            joint.update(((a, b), q) for b, q in law.items())
+    return [ExactLaw(joint) for joint in joints]
 
 
 def hypergeometric_pmf(n: int, k: int, r: int) -> Fraction:

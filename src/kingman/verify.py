@@ -54,13 +54,12 @@ def check_reversibility(seed: int = DEFAULT_SEED) -> stats.TestReport:
 def check_chain_moments(seed: int = DEFAULT_SEED) -> stats.TestReport:
     """DP means and covariances equal the closed forms for n <= 12."""
     def pairs(n):
-        for k in range(n + 1):
-            yield urn.exact_marginal(n, k).mean(), moments.e_U(n, k)
+        for k, law in enumerate(urn.exact_marginal(n)):
+            yield law.mean(), moments.e_U(n, k)
         if n < 3:
             return
         for k in range(n + 1):
-            for l in range(k, n + 1):
-                joint = urn.exact_joint_marginal(n, k, l)
+            for l, joint in enumerate(urn.exact_joint_marginal(n, k), k):
                 e_kl = sum((Fraction(a * b) * p for (a, b), p in joint.items()), Fraction(0))
                 yield e_kl - moments.e_U(n, k) * moments.e_U(n, l), moments.cov_U(n, k, l)
     return _exact_report("chain_moments_exact", 12, seed, pairs)
@@ -69,11 +68,10 @@ def check_chain_moments(seed: int = DEFAULT_SEED) -> stats.TestReport:
 def check_hypergeometric(seed: int = DEFAULT_SEED) -> stats.TestReport:
     """Forward-DP marginals equal the shifted hypergeometric for n <= 50."""
     def pairs(n):
-        dist = {0: Fraction(1)}
+        laws = urn.exact_marginal(n)
         for k in range(1, n):
-            dist = urn.step_law(n, k - 1, dist)
-            yield from _same_law(dist, {u: urn.hypergeometric_pmf(n, k, u - 1)
-                                        for u in urn.states(n, k)})
+            yield from _same_law(laws[k], {u: urn.hypergeometric_pmf(n, k, u - 1)
+                                           for u in urn.states(n, k)})
     return _exact_report("hypergeometric_marginal_exact", 50, seed, pairs)
 
 

@@ -717,7 +717,7 @@ def test_rho_frequencies():
 def test_urn_marginal_frequencies():
     n, k, reps = 12, 5, 50_000
     vals = batch.simulate("urn_marginal", n, reps, SEED, k=k).astype(int)
-    law = {u: float(p) for u, p in urn.exact_marginal(n, k).items()}
+    law = {u: float(p) for u, p in urn.exact_marginal(n)[k].items()}
     chi2 = sum((np.count_nonzero(vals == u) - reps * p) ** 2 / (reps * p)
                for u, p in law.items())
     p_value = float(gammaincc((len(law) - 1) / 2.0, chi2 / 2.0))

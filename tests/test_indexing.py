@@ -81,12 +81,10 @@ INTEGER_ARGUMENTS = [
      urn.box_scheme_exact_law),
     (urn.permutation_exact_law, "n", "sample size n", 2, urn.MAX_PERM_ENUM_N,
      urn.permutation_exact_law),
-    (urn.exact_marginal, "n", "sample size n", 2, math.inf, lambda v: urn.exact_marginal(v, 1)),
-    (urn.exact_marginal, "k", "step k", 0, 6, lambda v: urn.exact_marginal(6, v)),
+    (urn.exact_marginal, "n", "sample size n", 2, math.inf, urn.exact_marginal),
     (urn.exact_joint_marginal, "n", "sample size n", 2, math.inf,
-     lambda v: urn.exact_joint_marginal(v, 0, 1)),
-    (urn.exact_joint_marginal, "k", "step k", 0, 6, lambda v: urn.exact_joint_marginal(6, v, 6)),
-    (urn.exact_joint_marginal, "l", "step l", 2, 6, lambda v: urn.exact_joint_marginal(6, 2, v)),
+     lambda v: urn.exact_joint_marginal(v, 0)),
+    (urn.exact_joint_marginal, "k", "step k", 0, 6, lambda v: urn.exact_joint_marginal(6, v)),
     (urn.hypergeometric_pmf, "n", "sample size n", 2, math.inf,
      lambda v: urn.hypergeometric_pmf(v, 1, 0)),
     (urn.hypergeometric_pmf, "k", "level k", 1, 5, lambda v: urn.hypergeometric_pmf(6, v, 0)),

@@ -26,7 +26,7 @@ def test_e_U_cov_U_values():
     assert moments.e_U(10, 10) == 0
     # covariance at k=l reduces to the variance of the marginal
     n, k = 9, 4
-    marg = urn.exact_marginal(n, k)
+    marg = urn.exact_marginal(n)[k]
     e2 = sum(Fraction(u * u) * p for u, p in marg.items())
     assert moments.cov_U(n, k, k) == e2 - marg.mean() ** 2
 
@@ -64,7 +64,7 @@ def test_var_X_from_enumeration():
     n = 8
     for k in range(1, n):
         # X_k = 1 + U_(n-k) - U_(n-k-1); its law follows from the joint DP
-        joint = urn.exact_joint_marginal(n, n - k - 1, n - k)
+        joint = urn.exact_joint_marginal(n, n - k - 1)[1]
         e1 = sum((1 + b - a) * p for (a, b), p in joint.items())
         e2 = sum((1 + b - a) ** 2 * p for (a, b), p in joint.items())
         assert e1 == moments.e_X(n, k)

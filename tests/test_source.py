@@ -72,3 +72,13 @@ def test_only_the_benchmark_keeps_these_public_names_alive():
     names = uncalled(sorted(PACKAGE.glob("*.py")))
     assert names == AWAITING_A_CALLER | BENCHMARK_ONLY, \
         f"nothing in src/kingman calls {sorted(names - AWAITING_A_CALLER)}"
+
+
+def test_only_urn_steps_the_chain_law():
+    # the forward pass is stated once, in urn: every other module reads exact_marginal
+    # and exact_joint_marginal (a docstring may still say the word)
+    for path in sorted(PACKAGE.glob("*.py")):
+        code = {node.id if isinstance(node, ast.Name) else node.attr
+                for node in ast.walk(ast.parse(path.read_text(), str(path)))
+                if isinstance(node, (ast.Name, ast.Attribute))}
+        assert ("step_law" in code) == (path.name == "urn.py"), path.name

@@ -72,8 +72,8 @@ def test_pair_counts_and_states_are_the_step():
                 counts = urn.pair_counts(n, k, u)
                 assert min(counts) >= 0 and sum(counts) == math.comb(n - k, 2), (n, k, u)
     for n in range(2, 13):
-        for k in range(n + 1):
-            assert set(urn.states(n, k)) == set(urn.exact_marginal(n, k)), (n, k)
+        for k, law in enumerate(urn.exact_marginal(n)):
+            assert set(urn.states(n, k)) == set(law), (n, k)
 
 
 def test_exact_path_law_n4_frozen():
@@ -93,25 +93,48 @@ def test_exact_path_law_normalizes():
             urn.UrnPath(n, path)  # every outcome is an admissible trajectory
 
 
+def path_marginal(law, *steps):
+    """The law of the path's values at steps, from a law over whole paths."""
+    out = {}
+    for path, p in law.items():
+        key = tuple(path[k] for k in steps)
+        out[key] = out.get(key, Fraction(0)) + p
+    return out
+
+
 def test_exact_marginal_matches_path_enumeration():
-    n = 7
-    law = urn.exact_path_law(n)
-    for k in range(n + 1):
-        from_paths = {}
-        for path, p in law.items():
-            from_paths[path[k]] = from_paths.get(path[k], Fraction(0)) + p
-        marg = urn.exact_marginal(n, k)
-        assert dict(marg) == from_paths
+    # every marginal and every joint law, against the enumerated paths at each n <= 9
+    for n in range(2, urn.MAX_PATH_ENUM_N + 1):
+        law = urn.exact_path_law(n)
+        marginals = urn.exact_marginal(n)
+        assert len(marginals) == n + 1
+        for k, marginal in enumerate(marginals):
+            assert dict(marginal) == {u: p for (u,), p in path_marginal(law, k).items()}, (n, k)
+            joints = urn.exact_joint_marginal(n, k)
+            assert len(joints) == n + 1 - k
+            for l, joint in enumerate(joints, k):
+                assert dict(joint) == path_marginal(law, k, l), (n, k, l)
 
 
 def test_joint_marginal_consistency():
     n, k, l = 8, 3, 5
-    joint = urn.exact_joint_marginal(n, k, l)
+    joint = urn.exact_joint_marginal(n, k)[l - k]
     assert sum(joint.values()) == 1
-    left = {}
-    for (a, _), p in joint.items():
+    left, right = {}, {}
+    for (a, b), p in joint.items():
         left[a] = left.get(a, Fraction(0)) + p
-    assert left == dict(urn.exact_marginal(n, k))
+        right[b] = right.get(b, Fraction(0)) + p
+    marginals = urn.exact_marginal(n)
+    assert (left, right) == (dict(marginals[k]), dict(marginals[l]))
+
+
+def test_chain_moments_step_each_law_once(monkeypatch):
+    # one pass per n for the marginals, one per state of U_k for the joint laws; stepping
+    # U_k's marginal again for each (k, l) took 4 651 calls
+    calls, step_law = [], urn.step_law
+    monkeypatch.setattr(urn, "step_law", lambda *args: calls.append(args) or step_law(*args))
+    assert verify.check_chain_moments(7).passed
+    assert len(calls) < 2_000, len(calls)
 
 
 @given(st.integers(2, 60), st.data())
@@ -162,15 +185,13 @@ def test_reverse_path_and_tau_duality():
 
 def local_balance_pairs(n):
     """(pi_i(u) p_i(u, v), pi_(i+1)(v) p_(n-1-i)(v, u)) for every step i and pair (u, v)
-    on which either side is nonzero, with pi_i the law of U_i by step_law.
+    on which either side is nonzero, with pi_i the law of U_i by exact_marginal.
 
     Both the chain and its reversal start at 0, so (U_0..U_n) and (U_n..U_0) are
     equal in law if and only if every pair is equal: the theorem from the
     transitions alone, without enumerating paths.
     """
-    laws = [{0: Fraction(1)}]
-    for i in range(n):
-        laws.append(urn.step_law(n, i, laws[-1]))
+    laws = urn.exact_marginal(n)
     for i in range(n):  # step_law of the point mass pi_i(u) at u is pi_i(u) p_i(u, .)
         forward = {(u, v): q for u, p in laws[i].items()
                    for v, q in urn.step_law(n, i, {u: p}).items()}
@@ -219,7 +240,7 @@ def test_tau_sqrt_n_scaling():
 
 
 def test_exact_law_lists_only_its_outcomes():
-    law = urn.exact_marginal(6, 3)
+    law = urn.exact_marginal(6)[3]
     assert 99 not in law
     assert law.get(99, "d") == "d"
     assert law[99] == 0
@@ -233,7 +254,7 @@ def test_exact_law_lists_only_its_outcomes():
 
 
 def test_exact_law_json_shape():
-    law = urn.exact_marginal(6, 3)
+    law = urn.exact_marginal(6)[3]
     rows = [{"outcome": str(o), "num": str(p.numerator), "den": str(p.denominator)}
             for o, p in sorted(law.items(), key=lambda item: str(item[0]))]
     assert all(set(r) == {"outcome", "num", "den"} for r in rows)
